@@ -16,7 +16,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .errors import EmptyDataset, MalformedInput, MultipleTablesFound, NoTableFound
+from .errors import EmptyDataset, MalformedInput, MultipleTablesFound, NoTableFound, ScoreEvalError
 from .tableeval import Cell, NormalizedTable
 
 
@@ -102,12 +102,14 @@ def parse_table_rowcol(data: Union[bytes, str, list]) -> NormalizedTable:
             raise MalformedInput(f"cell {i} is not an object")
         try:
             row, col = int(item["row"]), int(item["col"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"cell {i} needs integer 'row' and 'col'") from exc
         if row < 0 or col < 0:
             raise MalformedInput(f"cell {i} has negative position ({row}, {col})")
-        rowspan = int(item.get("rowspan", 1))
-        colspan = int(item.get("colspan", 1))
+        try:
+            rowspan, colspan = int(item.get("rowspan", 1)), int(item.get("colspan", 1))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInput(f"cell {i} needs integer 'rowspan' and 'colspan'") from exc
         if rowspan < 1 or colspan < 1:
             raise MalformedInput(f"cell {i} has span < 1")
         content = item.get("content", "")
@@ -286,26 +288,26 @@ def parse_table_html(html: str) -> NormalizedTable:
     return parser.finalize()
 
 
-def _table_from_text_list(items: list, index: int) -> NormalizedTable:
+def _table_from_text_list(items: list) -> NormalizedTable:
     """Dispatch a list-typed element text to the matching cell parser."""
     coord_cells = []
     for j, item in enumerate(items):
         if not isinstance(item, dict):
-            raise MalformedInput(f"element {index}: cell {j} is not an object")
+            raise MalformedInput(f"cell {j} is not an object")
         if "row" in item and "col" in item:
             return parse_table_rowcol(items)
         try:
             x, y = int(item["x"]), int(item["y"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(
-                f"element {index}: cell {j} needs integer 'x' and 'y' (or 'row'/'col')"
-            ) from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInput(f"cell {j} needs integer 'x' and 'y' (or 'row'/'col')") from exc
+        try:
+            w, h = int(item.get("w", 1)), int(item.get("h", 1))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInput(f"cell {j} needs integer 'w' and 'h'") from exc
         content = item.get("content", "")
         if not isinstance(content, str):
-            raise MalformedInput(f"element {index}: cell {j} content must be a string")
-        coord_cells.append(
-            CoordCell(x=x, y=y, w=int(item.get("w", 1)), h=int(item.get("h", 1)), content=content)
-        )
+            raise MalformedInput(f"cell {j} content must be a string")
+        coord_cells.append(CoordCell(x=x, y=y, w=w, h=h, content=content))
     return normalize_coord_cells(coord_cells)
 
 
@@ -347,7 +349,10 @@ def parse_document(
             raise MalformedInput(f"element {i} is missing 'text'")
         text = item["text"]
         if isinstance(text, list):
-            table = _table_from_text_list(text, i)
+            try:
+                table = _table_from_text_list(text)
+            except MalformedInput as exc:
+                raise MalformedInput(f"element {i}: {exc}") from exc
             elements.append(Element(label, table.flat_text(), table, source_order=i))
         elif isinstance(text, str):
             elements.append(Element(label, text, None, source_order=i))
@@ -356,20 +361,29 @@ def parse_document(
     return DocumentPage(page_id=page_id, elements=elements)
 
 
-def _stems(directory: Path) -> dict[str, Path]:
-    return {p.stem: p for p in sorted(directory.iterdir()) if p.is_file()}
+def _stems(directory: Path, side: str, notices: list[str]) -> dict[str, Path]:
+    """Files by stem; of files sharing a stem the last in name order is kept, with a notice."""
+    by_stem: dict[str, list[Path]] = {}
+    for path in sorted(directory.iterdir()):
+        if path.is_file():
+            by_stem.setdefault(path.stem, []).append(path)
+    for stem, paths in by_stem.items():
+        if len(paths) > 1:
+            ignored = ", ".join(p.name for p in paths[:-1])
+            notices.append(f"duplicate {side} stem {stem}: kept {paths[-1].name}, ignored {ignored}")
+    return {stem: paths[-1] for stem, paths in by_stem.items()}
 
 
 def pair_pages(gt_dir: Union[str, Path], pred_dir: Union[str, Path]) -> tuple[list[PagePair], list[str]]:
     """Pair files by stem across two directories.
 
     Returns the pairs in lexicographic stem order plus notices for every
-    unmatched or unparseable file; raises EmptyDataset when no pair
-    survives.
+    duplicate stem and every unmatched or unparseable file; raises
+    EmptyDataset when no pair survives.
     """
-    gt_files = _stems(Path(gt_dir))
-    pred_files = _stems(Path(pred_dir))
-    notices = []
+    notices: list[str] = []
+    gt_files = _stems(Path(gt_dir), "ground truth", notices)
+    pred_files = _stems(Path(pred_dir), "prediction", notices)
     pairs = []
     for stem in sorted(set(gt_files) | set(pred_files)):
         if stem not in pred_files:
@@ -380,12 +394,12 @@ def pair_pages(gt_dir: Union[str, Path], pred_dir: Union[str, Path]) -> tuple[li
             continue
         try:
             gt_page = parse_document(gt_files[stem].read_bytes(), page_id=stem)
-        except MalformedInput as exc:
+        except ScoreEvalError as exc:
             notices.append(f"failed to parse ground truth {stem}: {exc}")
             continue
         try:
             pred_page = parse_document(pred_files[stem].read_bytes(), page_id=stem)
-        except MalformedInput as exc:
+        except ScoreEvalError as exc:
             notices.append(f"failed to parse prediction {stem}: {exc}")
             continue
         pairs.append(PagePair(page_id=stem, gt=gt_page, pred=pred_page))

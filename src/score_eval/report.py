@@ -25,10 +25,11 @@ from .tableeval import (
 from .textmetrics import (
     FidelityScores,
     TokenizerConfig,
-    adjusted_ned,
-    cer,
+    _alignment_similarity,
+    _cer_from_distance,
+    _ned_from_distance,
     content_tokens,
-    ned,
+    levenshtein,
     page_text,
     tokens_added,
     tokens_found,
@@ -199,12 +200,14 @@ def evaluate_page(
 
     gt_text = page_text(gt)
     pred_text = page_text(pred)
-    raw_ned = ned(pred_text, gt_text)
-    adj = adjusted_ned(pred, gt, cfg.tokenizer, kind_for=cmap.kind)
+    # one page-level distance feeds raw NED, the adjusted-NED floor and CER
+    distance = levenshtein(pred_text, gt_text)
+    raw_ned = _ned_from_distance(distance, pred_text, gt_text)
+    adj = max(raw_ned, _alignment_similarity(pred, gt, cfg.tokenizer, cmap.kind))
     gt_bag = content_tokens(gt, cfg.tokenizer)
     pred_bag = content_tokens(pred, cfg.tokenizer)
     try:
-        cer_value: Optional[float] = cer(pred_text, gt_text)
+        cer_value: Optional[float] = _cer_from_distance(distance, gt_text)
     except EmptyReference:
         cer_value = None
         notices.append("cer undefined: empty ground-truth text")

@@ -10,57 +10,62 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import EmptyReference
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import DocumentPage, Element
 
-# Above this length the numpy row-DP beats the pure-python loop.
-_NUMPY_CUTOFF = 64
+
+def _bit_parallel_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Levenshtein distance of two non-empty sequences, one text column per step.
+
+    Myers' bit-vector algorithm (Myers 1999, "A fast bit-vector algorithm
+    for approximate string matching based on dynamic programming", JACM
+    46(3)) in the global edit-distance form of Hyyrö (2001, "Explaining
+    and extending the bit-parallel approximate string matching algorithm
+    of Myers").  The shorter sequence is the pattern: bit i of ``vp`` or
+    ``vn`` marks a vertical delta D[i+1][j] - D[i][j] of +1 or -1.  Match
+    masks are keyed by symbol, so characters and tokens work alike.  The
+    horizontal positive delta shifts in with a carry-in of 1 because
+    D[0][j] = j; without that +1 the recurrence would compute substring
+    search (D[0][j] = 0) instead of global edit distance.  Python ints are
+    unbounded, so every complement and left shift is masked to the pattern
+    width; bits above it never reach the bits below, but unmasked they
+    would grow the words by one bit per column.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    masks: dict[Hashable, int] = {}
+    for i, symbol in enumerate(b):
+        masks[symbol] = masks.get(symbol, 0) | (1 << i)
+    width = (1 << len(b)) - 1
+    top = 1 << (len(b) - 1)
+    vp, vn, dist = width, 0, len(b)
+    for symbol in a:
+        eq = masks.get(symbol, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | (~(xh | vp) & width)
+        hn = vp & xh
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = ((hp << 1) | 1) & width
+        hn = (hn << 1) & width
+        vp = hn | (~(xv | hp) & width)
+        vn = hp & xv
+    return dist
 
 
-def _edit_distance_py(a: Sequence, b: Sequence) -> int:
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] * (len(b) + 1)
-        diag = i - 1  # prev[j-1]
-        left = i      # cur[j-1]
-        for j, cb in enumerate(b, start=1):
-            up = prev[j]
-            val = diag if ca == cb else diag + 1
-            if up + 1 < val:
-                val = up + 1
-            if left + 1 < val:
-                val = left + 1
-            cur[j] = val
-            left = val
-            diag = up
-        prev = cur
-    return prev[-1]
+def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Minimal number of insertions, deletions and substitutions.
 
-
-def _edit_distance_np(a: str, b: str) -> int:
-    # Row-wise DP; the left-neighbor dependency is resolved with the
-    # prefix-minimum identity min_k<=j (row[k] + j - k).
-    b_codes = np.fromiter((ord(c) for c in b), dtype=np.int64, count=len(b))
-    idx = np.arange(len(b) + 1, dtype=np.int64)
-    prev = idx.copy()
-    cur = np.empty_like(prev)
-    for i, ca in enumerate(a, start=1):
-        oa = ord(ca)
-        cur[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + (b_codes != oa), out=cur[1:])
-        np.minimum.accumulate(cur - idx, out=cur)
-        cur += idx
-        prev, cur = cur, prev
-    return int(prev[-1])
-
-
-def _sequence_distance(a: Sequence, b: Sequence) -> int:
+    Accepts any two sequences of hashable symbols: the characters of two
+    strings, or the tokens of two lists.
+    """
     if a == b:
         return 0
     # Common affixes never participate in an optimal alignment.
@@ -76,14 +81,14 @@ def _sequence_distance(a: Sequence, b: Sequence) -> int:
         return len(b)
     if not b:
         return len(a)
-    if isinstance(a, str) and isinstance(b, str) and max(len(a), len(b)) > _NUMPY_CUTOFF:
-        return _edit_distance_np(a, b)
-    return _edit_distance_py(a, b)
+    return _bit_parallel_distance(a, b)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Minimal number of insertions, deletions and substitutions."""
-    return _sequence_distance(a, b)
+def _ned_from_distance(distance: int, s: str, g: str) -> float:
+    longest = max(len(s), len(g))
+    if longest == 0:
+        return 1.0
+    return 1.0 - min(max(distance / longest, 0.0), 1.0)
 
 
 def ned(s: str, g: str) -> float:
@@ -91,11 +96,7 @@ def ned(s: str, g: str) -> float:
 
     Two empty strings compare as a perfect match.
     """
-    if s == g:
-        return 1.0
-    longest = max(len(s), len(g))
-    ratio = levenshtein(s, g) / longest
-    return 1.0 - min(max(ratio, 0.0), 1.0)
+    return _ned_from_distance(levenshtein(s, g), s, g)
 
 
 def ned_upper_bound(s: str, g: str) -> float:
@@ -106,11 +107,15 @@ def ned_upper_bound(s: str, g: str) -> float:
     return 1.0 - abs(len(s) - len(g)) / longest
 
 
-def cer(s: str, g: str) -> float:
-    """Character error rate: edit operations over reference length."""
+def _cer_from_distance(distance: int, g: str) -> float:
     if not g:
         raise EmptyReference("character error rate needs a non-empty reference")
-    return levenshtein(s, g) / len(g)
+    return distance / len(g)
+
+
+def cer(s: str, g: str) -> float:
+    """Character error rate: edit operations over reference length."""
+    return _cer_from_distance(levenshtein(s, g), g)
 
 
 def wer(s: str, g: str) -> float:
@@ -118,7 +123,7 @@ def wer(s: str, g: str) -> float:
     ref = g.split()
     if not ref:
         raise EmptyReference("word error rate needs a non-empty reference")
-    return _sequence_distance(s.split(), ref) / len(ref)
+    return levenshtein(s.split(), ref) / len(ref)
 
 
 @dataclass(frozen=True)
@@ -300,28 +305,17 @@ def _element_weight(element: "Element", cfg: TokenizerConfig) -> int:
     return tokenize(content_text(element), cfg).total
 
 
-def adjusted_ned(
+def _alignment_similarity(
     pred: "DocumentPage",
     gt: "DocumentPage",
-    cfg: TokenizerConfig = DEFAULT_TOKENIZER,
-    kind_for: Callable[["Element"], str] = default_kind,
+    cfg: TokenizerConfig,
+    kind_for: Callable[["Element"], str],
 ) -> float:
-    """Edit similarity lifted by word-weighted per-element alignment.
-
-    The raw page-text similarity is a floor; on top of it, each
-    prediction element greedily claims its most similar ground-truth
-    element (one claim per GT element, highest similarity first, ties
-    broken toward the lower GT index) and contributes its similarity
-    weighted by its token count.
-    """
-    raw = ned(page_text(pred), page_text(gt))
-    if not pred.elements:
-        return raw
-
+    """The alignment half of ``adjusted_ned``; 0.0 when the prediction has no tokens."""
     weights = [_element_weight(e, cfg) for e in pred.elements]
     total_weight = sum(weights)
     if total_weight == 0:
-        return raw
+        return 0.0
 
     gt_kinds = [kind_for(e) for e in gt.elements]
     candidates = []
@@ -342,4 +336,22 @@ def adjusted_ned(
         claimed.add(j)
 
     weighted = sum(weights[i] * assigned.get(i, 0.0) for i in range(len(weights)))
-    return max(raw, min(1.0, weighted / total_weight))
+    return min(1.0, weighted / total_weight)
+
+
+def adjusted_ned(
+    pred: "DocumentPage",
+    gt: "DocumentPage",
+    cfg: TokenizerConfig = DEFAULT_TOKENIZER,
+    kind_for: Callable[["Element"], str] = default_kind,
+) -> float:
+    """Edit similarity lifted by word-weighted per-element alignment.
+
+    The raw page-text similarity is a floor; on top of it, each
+    prediction element greedily claims its most similar ground-truth
+    element (one claim per GT element, highest similarity first, ties
+    broken toward the lower GT index) and contributes its similarity
+    weighted by its token count.
+    """
+    raw = ned(page_text(pred), page_text(gt))
+    return max(raw, _alignment_similarity(pred, gt, cfg, kind_for))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 from score_eval.tableeval import TableTree, _substitution_cost
 
@@ -30,6 +31,27 @@ def edit_distance_recursive(a: str, b: str) -> int:
     result = go(0, 0)
     go.cache_clear()
     return result
+
+
+def edit_distance_dp(a: Sequence, b: Sequence) -> int:
+    """Plain row-by-row Wagner-Fischer DP over any two symbol sequences."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i] * (len(b) + 1)
+        diag = i - 1  # prev[j-1]
+        left = i      # cur[j-1]
+        for j, cb in enumerate(b, start=1):
+            up = prev[j]
+            val = diag if ca == cb else diag + 1
+            if up + 1 < val:
+                val = up + 1
+            if left + 1 < val:
+                val = left + 1
+            cur[j] = val
+            left = val
+            diag = up
+        prev = cur
+    return prev[-1]
 
 
 def _preorder(root: TableTree) -> list[TableTree]:

@@ -309,3 +309,42 @@ class TestPairPages:
         pairs, notices = pair_pages(tmp_path / "gt", tmp_path / "pred")
         assert [p.page_id for p in pairs] == ["a"]
         assert any("bad" in n for n in notices)
+
+    def test_overlapping_cells_become_notice(self, tmp_path):
+        overlap = [{"x": 0, "y": 0, "w": 2, "content": "wide"}, {"x": 1, "y": 0, "content": "hit"}]
+        for side in ("gt", "pred"):
+            self.write(tmp_path / side, "a.json", [{"type": "Text", "text": "x"}])
+            self.write(tmp_path / side, "b.json", [{"type": "Table", "text": overlap}])
+        pairs, notices = pair_pages(tmp_path / "gt", tmp_path / "pred")
+        assert [p.page_id for p in pairs] == ["a"]
+        assert len(notices) == 1
+        assert notices[0].startswith("failed to parse ground truth b: cells 'wide' at (0,0)")
+
+    @pytest.mark.parametrize(
+        "table, named",
+        [
+            ([{"x": 0, "y": 0}, {"x": 1, "y": 0, "w": "two"}], "cell 1 needs integer 'w' and 'h'"),
+            ([{"x": 0, "y": 0}, {"x": 1, "y": 0, "h": None}], "cell 1 needs integer 'w' and 'h'"),
+            ([{"x": 0, "y": 0, "w": float("inf")}], "cell 0 needs integer 'w' and 'h'"),
+            ([{"row": 0, "col": 0}, {"row": 0, "col": 1, "rowspan": "2x"}],
+             "cell 1 needs integer 'rowspan' and 'colspan'"),
+            ([{"row": 0, "col": 0, "colspan": [2]}], "cell 0 needs integer 'rowspan' and 'colspan'"),
+        ],
+        ids=["w-word", "h-null", "w-infinity", "rowspan-word", "colspan-list"],
+    )
+    def test_non_integer_span_becomes_notice(self, tmp_path, table, named):
+        for side in ("gt", "pred"):
+            self.write(tmp_path / side, "a.json", [{"type": "Text", "text": "x"}])
+        self.write(tmp_path / "gt", "b.json", [{"type": "Text", "text": "y"}])
+        self.write(tmp_path / "pred", "b.json", [{"type": "Text", "text": "y"}, {"type": "Table", "text": table}])
+        pairs, notices = pair_pages(tmp_path / "gt", tmp_path / "pred")
+        assert [p.page_id for p in pairs] == ["a"]
+        assert notices == [f"failed to parse prediction b: element 1: {named}"]
+
+    def test_duplicate_stem_keeps_last_name_with_notice(self, tmp_path):
+        self.write(tmp_path / "gt", "a.json", [{"type": "Text", "text": "x"}])
+        self.write(tmp_path / "gt", "a.txt", [{"type": "Text", "text": "y"}])
+        self.write(tmp_path / "pred", "a.json", [{"type": "Text", "text": "y"}])
+        pairs, notices = pair_pages(tmp_path / "gt", tmp_path / "pred")
+        assert [e.text for e in pairs[0].gt.elements] == ["y"]
+        assert notices == ["duplicate ground truth stem a: kept a.txt, ignored a.json"]

@@ -350,6 +350,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "missing prediction: b" in err
 
+    def test_bad_tables_and_duplicate_stems_are_notices_not_fatal(self, tmp_path, capsys):
+        overlap = [{"type": "Table", "text": [{"x": 0, "y": 0, "w": 2}, {"x": 1, "y": 0}]}]
+        bad_span = [{"type": "Table", "text": [{"row": 0, "col": 0, "rowspan": "two"}]}]
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS, "b": overlap, "c": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS, "b": PERFECT_ITEMS, "c": bad_span}, "pred")
+        (tmp_path / "pred" / "a.txt").write_text(json.dumps(PERFECT_ITEMS), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     "--out", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "failed to parse ground truth b:" in err
+        assert "failed to parse prediction c: element 0: cell 0 needs integer 'rowspan'" in err
+        assert "duplicate prediction stem a: kept a.txt, ignored a.json" in err
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert [page["page_id"] for page in report["pages"]] == ["a"]
+        assert report["pages"][0]["fidelity"]["adjusted_ned"] == 1.0
+
     def test_custom_category_map(self, tmp_path):
         gt_items = [{"type": "blurb", "text": "hello world"}]
         write_dataset(tmp_path, {"a": gt_items}, "gt")

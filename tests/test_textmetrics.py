@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import edit_distance_recursive
+from oracles import edit_distance_dp, edit_distance_recursive
 from score_eval.errors import EmptyReference
 from score_eval.ingest import DocumentPage, Element
 from score_eval.tableeval import Cell, NormalizedTable
@@ -79,14 +79,87 @@ class TestLevenshtein:
             assert levenshtein(a, b) == edit_distance_recursive(a, b)
 
     def test_long_strings_use_same_algorithm(self):
-        # exercises the vectorized path against the plain DP
+        # patterns wider than one machine word, against the plain DP
         rng = random.Random(5)
         for _ in range(20):
             a = "".join(rng.choice("abcde ") for _ in range(rng.randint(60, 150)))
             b = "".join(rng.choice("abcde ") for _ in range(rng.randint(60, 150)))
-            from score_eval.textmetrics import _edit_distance_py
+            assert levenshtein(a, b) == edit_distance_dp(a, b)
 
-            assert levenshtein(a, b) == _edit_distance_py(a, b)
+
+def _mutate(rng: random.Random, seq: list, alphabet: str, rate: float) -> list:
+    """Substitute, insert or delete symbols at the given per-symbol rate."""
+    out = []
+    for symbol in seq:
+        roll = rng.random()
+        if roll < rate / 3:
+            out.append(rng.choice(alphabet))
+        elif roll < 2 * rate / 3:
+            out += [symbol, rng.choice(alphabet)]
+        elif roll >= rate:
+            out.append(symbol)
+    return out
+
+
+class TestKernelDifferential:
+    """levenshtein against the plain DP where the bit-parallel kernel can slip.
+
+    Both argument orders are checked, because the kernel takes the
+    shorter side as its bit pattern.
+    """
+
+    @staticmethod
+    def check(a, b):
+        expected = edit_distance_dp(a, b)
+        assert levenshtein(a, b) == expected
+        assert levenshtein(b, a) == expected
+
+    def test_lengths_around_word_boundaries(self):
+        rng = random.Random(63)
+        lengths = (1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129)
+        for la in lengths:
+            for lb in (1, 63, 64, 65, 128):
+                for alphabet in ("ab", "abcdef"):
+                    a = "".join(rng.choice(alphabet) for _ in range(la))
+                    b = "".join(rng.choice(alphabet) for _ in range(lb))
+                    self.check(a, b)
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abcdef"])
+    def test_thousand_char_strings(self, alphabet):
+        rng = random.Random(len(alphabet))
+        a = [rng.choice(alphabet) for _ in range(rng.randint(1000, 2000))]
+        self.check("".join(a), "".join(_mutate(rng, a, alphabet, 0.1)))
+        b = [rng.choice(alphabet) for _ in range(rng.randint(1000, 2000))]
+        self.check("".join(a), "".join(b))
+
+    def test_token_lists(self):
+        rng = random.Random(17)
+        words = "the a cat dog sat on mat 2024 $100K north".split()
+        for _ in range(200):
+            a = [rng.choice(words) for _ in range(rng.randint(0, 40))]
+            b = [rng.choice(words) for _ in range(rng.randint(0, 40))]
+            self.check(a, b)
+        for n in (63, 64, 65, 300):
+            a = [rng.choice(words) for _ in range(n)]
+            self.check(a, _mutate(rng, a, "xyz", 0.2))
+
+    def test_non_ascii_and_astral_code_points(self):
+        rng = random.Random(4)
+        alphabet = "aéß中文\u00a0\U0001d538\U0001f600\U00010348"
+        for _ in range(200):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
+            self.check(a, b)
+        assert levenshtein("\U0001f600", "\U0001f601") == 1
+
+    def test_affix_trimming_empties_one_side(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            head = "".join(rng.choice("abc") for _ in range(rng.randint(0, 70)))
+            tail = "".join(rng.choice("abc") for _ in range(rng.randint(0, 70)))
+            middle = "".join(rng.choice("abc") for _ in range(rng.randint(1, 70)))
+            self.check(head + tail, head + middle + tail)
+            self.check((head + tail).split("a"), (head + middle + tail).split("a"))
 
 
 class TestNed:
