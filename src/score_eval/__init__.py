@@ -25,7 +25,6 @@ from .hierarchy import (
     ConfusionMatrix,
     build_confusion,
     consistency_score,
-    map_category,
     match_elements,
 )
 from .ingest import (
@@ -74,7 +73,6 @@ from .textmetrics import (
     cer,
     content_text,
     content_tokens,
-    element_similarity,
     levenshtein,
     ned,
     page_text,

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidThreshold, MalformedInput
 from .ingest import DocumentPage
-from .textmetrics import content_text, ned, ned_upper_bound
+from .textmetrics import PreparedPage, element_neds, greedy_one_to_one, ned_upper_bound
 
 CATEGORIES = (
     "TITLE",
@@ -86,11 +86,6 @@ class CategoryMap:
         return cls.from_text(text)
 
 
-def map_category(raw_label: str, cmap: CategoryMap) -> str:
-    """Normalized lookup; unknown labels map to OTHER."""
-    return cmap.category(raw_label)
-
-
 def match_elements(
     gt: DocumentPage,
     pred: DocumentPage,
@@ -102,31 +97,30 @@ def match_elements(
     proximity and then by the lower GT index; only pairs at or above the
     threshold survive.  Returns (gt index, pred index, score) triples.
     """
+    gt_prep, pred_prep = PreparedPage(gt), PreparedPage(pred)
+    return match_prepared(gt_prep, pred_prep, element_neds(pred_prep, gt_prep), sim_threshold)
+
+
+def match_prepared(
+    gt: PreparedPage, pred: PreparedPage, pair_ned: Callable[[int, int], float], sim_threshold: float
+) -> list[tuple[int, int, float]]:
+    """``match_elements`` on prepared pages, reading NEDs from ``pair_ned(pred, gt)``."""
     if not 0.0 <= sim_threshold <= 1.0:
         raise InvalidThreshold(f"sim_threshold must be in [0, 1], got {sim_threshold}")
     candidates = []
-    pred_texts = [content_text(p) for p in pred.elements]
-    for i, g in enumerate(gt.elements):
-        g_text = content_text(g)
-        for j, p in enumerate(pred.elements):
-            if ned_upper_bound(g_text, pred_texts[j]) < sim_threshold:
+    for i, g_text in enumerate(gt.texts):
+        for j, p_text in enumerate(pred.texts):
+            if ned_upper_bound(g_text, p_text) < sim_threshold:
                 continue  # length gap alone rules this pair out
-            score = ned(g_text, pred_texts[j])
+            score = pair_ned(j, i)
             if score >= sim_threshold:
-                order_gap = abs(g.source_order - p.source_order)
-                candidates.append((-score, order_gap, i, j, score))
-    candidates.sort()
-    matched_gt: set[int] = set()
-    matched_pred: set[int] = set()
-    matching = []
-    for _, _, i, j, score in candidates:
-        if i in matched_gt or j in matched_pred:
-            continue
-        matched_gt.add(i)
-        matched_pred.add(j)
-        matching.append((i, j, score))
-    matching.sort()
-    return matching
+                candidates.append((score, i, j))
+
+    def order(candidate: tuple[float, int, int]) -> tuple:  # score, then reading-order gap
+        score, i, j = candidate
+        return (-score, abs(gt.page.elements[i].source_order - pred.page.elements[j].source_order), i, j)
+
+    return sorted((i, j, score) for score, i, j in greedy_one_to_one(candidates, order))
 
 
 @dataclass

@@ -24,6 +24,14 @@ def _collapse_ws(text: str) -> str:
     return " ".join(text.split())
 
 
+def _integer(value) -> int:
+    """``int(value)``, but a float with a fractional part is refused, not truncated."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
 @dataclass
 class Element:
     """One parsed unit of a page."""
@@ -101,13 +109,13 @@ def parse_table_rowcol(data: Union[bytes, str, list]) -> NormalizedTable:
         if not isinstance(item, dict):
             raise MalformedInput(f"cell {i} is not an object")
         try:
-            row, col = int(item["row"]), int(item["col"])
+            row, col = _integer(item["row"]), _integer(item["col"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"cell {i} needs integer 'row' and 'col'") from exc
         if row < 0 or col < 0:
             raise MalformedInput(f"cell {i} has negative position ({row}, {col})")
         try:
-            rowspan, colspan = int(item.get("rowspan", 1)), int(item.get("colspan", 1))
+            rowspan, colspan = _integer(item.get("rowspan", 1)), _integer(item.get("colspan", 1))
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"cell {i} needs integer 'rowspan' and 'colspan'") from exc
         if rowspan < 1 or colspan < 1:
@@ -279,9 +287,7 @@ def parse_table_html(html: str) -> NormalizedTable:
     try:
         parser.feed(html)
         parser.close()
-    except (NoTableFound, MultipleTablesFound):
-        raise
-    except MalformedInput:
+    except ScoreEvalError:
         raise
     except Exception as exc:  # html.parser rarely raises; treat as malformed
         raise MalformedInput(f"unparseable HTML: {exc}") from exc
@@ -297,11 +303,11 @@ def _table_from_text_list(items: list) -> NormalizedTable:
         if "row" in item and "col" in item:
             return parse_table_rowcol(items)
         try:
-            x, y = int(item["x"]), int(item["y"])
+            x, y = _integer(item["x"]), _integer(item["y"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"cell {j} needs integer 'x' and 'y' (or 'row'/'col')") from exc
         try:
-            w, h = int(item.get("w", 1)), int(item.get("h", 1))
+            w, h = _integer(item.get("w", 1)), _integer(item.get("h", 1))
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"cell {j} needs integer 'w' and 'h'") from exc
         content = item.get("content", "")
@@ -313,7 +319,6 @@ def _table_from_text_list(items: list) -> NormalizedTable:
 
 def parse_document(
     data: Union[bytes, str],
-    format_hint: str = "auto",
     page_id: str = "",
 ) -> DocumentPage:
     """Parse one elements file into a DocumentPage.
@@ -324,8 +329,6 @@ def parse_document(
     string texts are kept verbatim as the producing system's
     serialization.
     """
-    if format_hint not in ("auto", "elements_json"):
-        raise MalformedInput(f"unknown format hint {format_hint!r}")
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")

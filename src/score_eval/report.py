@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import EmptyDataset, EmptyReference, MalformedInput, ScoreEvalError
-from .hierarchy import CategoryMap, ConfusionMatrix, build_confusion, consistency_score, match_elements
+from .hierarchy import CategoryMap, ConfusionMatrix, build_confusion, consistency_score, match_prepared
 from .ingest import DocumentPage, PagePair, parse_table_html
 from .tableeval import (
     DetectionResult,
@@ -24,11 +24,12 @@ from .tableeval import (
 )
 from .textmetrics import (
     FidelityScores,
+    PreparedPage,
     TokenizerConfig,
     _alignment_similarity,
     _cer_from_distance,
     _ned_from_distance,
-    content_tokens,
+    element_neds,
     levenshtein,
     page_text,
     tokens_added,
@@ -157,8 +158,10 @@ class AggregateReport:
         }
 
 
-def _attach_tables(page: DocumentPage, cmap: CategoryMap, notices: list[str], side: str) -> DocumentPage:
-    """Parse markup payloads of TABLE-category elements into cell tuples.
+def _prepare_page(
+    page: DocumentPage, cfg: RunConfig, cmap: CategoryMap, notices: list[str], side: str
+) -> PreparedPage:
+    """Parse markup payloads of TABLE-category elements into cell tuples, and prepare the page.
 
     The element's text is left untouched: it is the system's own
     serialization and feeds the raw edit distance.
@@ -184,7 +187,7 @@ def _attach_tables(page: DocumentPage, cmap: CategoryMap, notices: list[str], si
                 f"{side} element {element.source_order}: non-table element carries a table payload"
             )
         elements.append(prepared)
-    return DocumentPage(page_id=page.page_id, elements=elements)
+    return PreparedPage(DocumentPage(page_id=page.page_id, elements=elements), cfg.tokenizer, cmap.kind)
 
 
 def evaluate_page(
@@ -195,17 +198,19 @@ def evaluate_page(
     """Compute the full metric vector for one page pair."""
     cmap = cmap if cmap is not None else cfg.category_map()
     notices: list[str] = []
-    gt = _attach_tables(pair.gt, cmap, notices, "gt")
-    pred = _attach_tables(pair.pred, cmap, notices, "pred")
+    gt = _prepare_page(pair.gt, cfg, cmap, notices, "gt")
+    pred = _prepare_page(pair.pred, cfg, cmap, notices, "pred")
+    # adjusted NED and element matching read each element NED from here
+    pair_ned = element_neds(pred, gt)
 
-    gt_text = page_text(gt)
-    pred_text = page_text(pred)
+    gt_text = page_text(gt.page)
+    pred_text = page_text(pred.page)
     # one page-level distance feeds raw NED, the adjusted-NED floor and CER
     distance = levenshtein(pred_text, gt_text)
     raw_ned = _ned_from_distance(distance, pred_text, gt_text)
-    adj = max(raw_ned, _alignment_similarity(pred, gt, cfg.tokenizer, cmap.kind))
-    gt_bag = content_tokens(gt, cfg.tokenizer)
-    pred_bag = content_tokens(pred, cfg.tokenizer)
+    adj = max(raw_ned, _alignment_similarity(pred, gt, pair_ned))
+    gt_bag = gt.token_bag()
+    pred_bag = pred.token_bag()
     try:
         cer_value: Optional[float] = _cer_from_distance(distance, gt_text)
     except EmptyReference:
@@ -225,8 +230,8 @@ def evaluate_page(
         wer=wer_value,
     )
 
-    gt_tables = [e.table for e in gt.elements if e.table is not None]
-    pred_tables = [e.table for e in pred.elements if e.table is not None]
+    gt_tables = [e.table for e in gt.page.elements if e.table is not None]
+    pred_tables = [e.table for e in pred.page.elements if e.table is not None]
     table_scores = None
     if gt_tables or pred_tables:
         detection = match_tables(pred_tables, gt_tables, cfg.det_tau, cfg.det_beta, cfg.tokenizer)
@@ -253,8 +258,8 @@ def evaluate_page(
         else:
             table_scores = TableScores(detection=detection, content_acc=None, index_acc=None, teds=None)
 
-    matching = match_elements(gt, pred, cfg.sim_threshold)
-    confusion = build_confusion(matching, gt, pred, cmap)
+    matching = match_prepared(gt, pred, pair_ned, cfg.sim_threshold)
+    confusion = build_confusion(matching, gt.page, pred.page, cmap)
     consistency = consistency_score(confusion)
 
     return PageReport(

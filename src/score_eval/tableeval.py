@@ -313,7 +313,6 @@ class _Annotated:
     def __init__(self, root: TableTree) -> None:
         self.nodes: list[TableTree] = []
         self.lmds: list[int] = []
-        post: list[tuple[TableTree, int]] = []
 
         def walk(node: TableTree) -> int:
             first = None
@@ -324,7 +323,6 @@ class _Annotated:
             self.nodes.append(node)
             index = len(self.nodes) - 1
             self.lmds.append(first if first is not None else index)
-            post.append((node, index))
             return self.lmds[index]
 
         walk(root)

@@ -7,6 +7,7 @@ locks.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -238,10 +239,7 @@ def content_text(element: "Element") -> str:
 
 def content_tokens(page: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenBag:
     """Token bag over the page's content, markup excluded."""
-    merged: Counter[str] = Counter()
-    for element in page.elements:
-        merged.update(tokenize(content_text(element), cfg).counts)
-    return TokenBag(dict(merged))
+    return PreparedPage(page, cfg).token_bag()
 
 
 def default_kind(element: "Element") -> str:
@@ -254,87 +252,85 @@ def default_kind(element: "Element") -> str:
     return "paragraph"
 
 
-def _candidate_similarity(
-    pred_elem: "Element",
-    kind: str,
-    gt_elem: "Element",
-    gt_kind: str,
-    cfg: TokenizerConfig,
-) -> Optional[float]:
-    if kind == "table":
-        if gt_elem.table is None or pred_elem.table is None:
-            return None
-        return bag_similarity(
-            tokenize(pred_elem.table.flat_text(), cfg),
-            tokenize(gt_elem.table.flat_text(), cfg),
-        )
-    if kind == "figure":
-        if gt_kind != "figure":
-            return None
-        return ned(pred_elem.text, gt_elem.text)
-    return ned(content_text(pred_elem), content_text(gt_elem))
+class PreparedPage:
+    """A page and what the element metrics read of it, computed once.
 
-
-def element_similarity(
-    pred_elem: "Element",
-    gt_page: "DocumentPage",
-    kind: str,
-    *,
-    claimed: frozenset[int] = frozenset(),
-    cfg: TokenizerConfig = DEFAULT_TOKENIZER,
-    kind_for: Callable[["Element"], str] = default_kind,
-) -> tuple[float, Optional[int]]:
-    """Best similarity of one prediction element against unclaimed GT elements.
-
-    Tables compare via token-bag overlap of cell contents, figures via
-    caption edit similarity, everything else via plain edit similarity.
+    ``texts``, ``bags`` and ``kinds`` hold, per element, its content text,
+    that text's token bag and its similarity-routing kind.  Evaluation
+    builds it after table markup is parsed (``report._prepare_page``).
     """
-    best_sim, best_idx = 0.0, None
-    for idx, gt_elem in enumerate(gt_page.elements):
-        if idx in claimed:
-            continue
-        sim = _candidate_similarity(pred_elem, kind, gt_elem, kind_for(gt_elem), cfg)
-        if sim is None:
-            continue
-        if sim > best_sim:  # ties keep the lower GT index
-            best_sim, best_idx = sim, idx
-    return best_sim, best_idx if best_sim > 0.0 else None
+
+    def __init__(
+        self,
+        page: "DocumentPage",
+        cfg: TokenizerConfig = DEFAULT_TOKENIZER,
+        kind_for: Callable[["Element"], str] = default_kind,
+    ) -> None:
+        self.page = page
+        self.texts = tuple(content_text(e) for e in page.elements)
+        self.bags = tuple(tokenize(t, cfg) for t in self.texts)
+        self.kinds = tuple(kind_for(e) for e in page.elements)
+
+    def token_bag(self) -> TokenBag:
+        """Token bag over the whole page's content."""
+        merged: Counter[str] = Counter()
+        for bag in self.bags:
+            merged.update(bag.counts)
+        return TokenBag(dict(merged))
 
 
-def _element_weight(element: "Element", cfg: TokenizerConfig) -> int:
-    return tokenize(content_text(element), cfg).total
+def element_neds(pred: PreparedPage, gt: PreparedPage) -> Callable[[int, int], float]:
+    """Content-text NED of (pred index, GT index), each pair computed on first use.
+
+    NED is symmetric, so every element-level metric of one page pair can
+    read its NEDs from the one table; the table lives as long as the
+    returned function.
+    """
+    return functools.cache(lambda i, j: ned(pred.texts[i], gt.texts[j]))
 
 
-def _alignment_similarity(
-    pred: "DocumentPage",
-    gt: "DocumentPage",
-    cfg: TokenizerConfig,
-    kind_for: Callable[["Element"], str],
-) -> float:
-    """The alignment half of ``adjusted_ned``; 0.0 when the prediction has no tokens."""
-    weights = [_element_weight(e, cfg) for e in pred.elements]
+def greedy_one_to_one(candidates: Iterable[tuple[float, int, int]], order: Callable) -> list[tuple[float, int, int]]:
+    """Accept (score, a, b) candidates in ``order`` while neither a nor b is taken."""
+    taken_a: set[int] = set()
+    taken_b: set[int] = set()
+    accepted = []
+    for score, a, b in sorted(candidates, key=order):
+        if a not in taken_a and b not in taken_b:
+            taken_a.add(a)
+            taken_b.add(b)
+            accepted.append((score, a, b))
+    return accepted
+
+
+def _alignment_similarity(pred: PreparedPage, gt: PreparedPage, pair_ned: Callable[[int, int], float]) -> float:
+    """The alignment half of ``adjusted_ned``; 0.0 when the prediction has no tokens.
+
+    Tables compare via token-bag overlap of cell contents and only with
+    tables, figures via caption edit similarity and only with figures,
+    everything else via edit similarity with any element.
+    """
+    weights = [bag.total for bag in pred.bags]
     total_weight = sum(weights)
     if total_weight == 0:
         return 0.0
 
-    gt_kinds = [kind_for(e) for e in gt.elements]
     candidates = []
-    for i, pred_elem in enumerate(pred.elements):
-        kind = kind_for(pred_elem)
-        for j, gt_elem in enumerate(gt.elements):
-            sim = _candidate_similarity(pred_elem, kind, gt_elem, gt_kinds[j], cfg)
-            if sim is not None and sim > 0.0:
+    for i, kind in enumerate(pred.kinds):
+        for j, gt_kind in enumerate(gt.kinds):
+            if kind == "table":
+                if pred.page.elements[i].table is None or gt.page.elements[j].table is None:
+                    continue
+                sim = bag_similarity(pred.bags[i], gt.bags[j])
+            elif kind == "figure" and gt_kind != "figure":
+                continue
+            else:
+                sim = pair_ned(i, j)
+            if sim > 0.0:
                 candidates.append((sim, i, j))
-    candidates.sort(key=lambda c: (-c[0], c[2], c[1]))
+    # highest similarity first, ties toward the lower GT index
+    accepted = greedy_one_to_one(candidates, lambda c: (-c[0], c[2], c[1]))
 
-    assigned: dict[int, float] = {}
-    claimed: set[int] = set()
-    for sim, i, j in candidates:
-        if i in assigned or j in claimed:
-            continue
-        assigned[i] = sim
-        claimed.add(j)
-
+    assigned = {i: sim for sim, i, _ in accepted}
     weighted = sum(weights[i] * assigned.get(i, 0.0) for i in range(len(weights)))
     return min(1.0, weighted / total_weight)
 
@@ -354,4 +350,5 @@ def adjusted_ned(
     weighted by its token count.
     """
     raw = ned(page_text(pred), page_text(gt))
-    return max(raw, _alignment_similarity(pred, gt, cfg, kind_for))
+    pred_prep, gt_prep = PreparedPage(pred, cfg, kind_for), PreparedPage(gt, cfg, kind_for)
+    return max(raw, _alignment_similarity(pred_prep, gt_prep, element_neds(pred_prep, gt_prep)))

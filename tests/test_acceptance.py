@@ -34,7 +34,7 @@ from score_eval.ingest import (
 )
 from score_eval.report import (
     RunConfig,
-    _attach_tables,
+    _prepare_page,
     aggregate,
     evaluate_page,
     evaluate_pairs,
@@ -168,8 +168,8 @@ def test_criterion_3_reading_path_fixture():
     # content) tuples, so their token-bag overlap is 1.0 and adjusted NED,
     # max(raw, word-weighted alignment), is exactly 1.0.
     cmap = cfg.category_map()
-    [gt_elem] = _attach_tables(pair.gt, cmap, [], "gt").elements
-    [pred_elem] = _attach_tables(pair.pred, cmap, [], "pred").elements
+    [gt_elem] = _prepare_page(pair.gt, cfg, cmap, [], "gt").page.elements
+    [pred_elem] = _prepare_page(pair.pred, cfg, cmap, [], "pred").page.elements
     assert gt_elem.table is not None and gt_elem.table == pred_elem.table
     assert adjusted == 1.0
 
@@ -338,8 +338,8 @@ def test_criterion_10_global_sweep():
                 assert value is None or 0.0 <= value <= 1.0
         # conservation: kept + missed reference tokens add up exactly,
         # on the same prepared pages the report evaluated
-        gt_prep = _attach_tables(pair.gt, cmap, [], "gt")
-        pred_prep = _attach_tables(pair.pred, cmap, [], "pred")
+        gt_prep = _prepare_page(pair.gt, cfg, cmap, [], "gt").page
+        pred_prep = _prepare_page(pair.pred, cfg, cmap, [], "pred").page
         gt_bag = content_tokens(gt_prep, cfg.tokenizer)
         pred_bag = content_tokens(pred_prep, cfg.tokenizer)
         kept = sum(min(n, pred_bag.counts.get(t, 0)) for t, n in gt_bag.counts.items())

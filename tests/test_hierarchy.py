@@ -11,7 +11,6 @@ from score_eval.hierarchy import (
     ConfusionMatrix,
     build_confusion,
     consistency_score,
-    map_category,
     match_elements,
 )
 from score_eval.ingest import DocumentPage, Element
@@ -41,16 +40,16 @@ PRED_PAGE = page(
 
 class TestMapCategory:
     def test_sub_heading_is_title(self):
-        assert map_category("sub-heading", CategoryMap.default()) == "TITLE"
+        assert CategoryMap.default().category("sub-heading") == "TITLE"
 
     def test_table_label(self):
-        assert map_category("Table", CategoryMap.default()) == "TABLE"
+        assert CategoryMap.default().category("Table") == "TABLE"
 
     def test_unknown_falls_back_to_other(self):
-        assert map_category("zzz-custom", CategoryMap.default()) == "OTHER"
+        assert CategoryMap.default().category("zzz-custom") == "OTHER"
 
     def test_case_and_whitespace_insensitive(self):
-        assert map_category("  NARRATIVE-TEXT ", CategoryMap.default()) == "TEXT"
+        assert CategoryMap.default().category("  NARRATIVE-TEXT ") == "TEXT"
 
     def test_custom_map_from_text(self):
         cmap = CategoryMap.from_text("blurb = TEXT\n# comment\nbanner=HEADER\n")

@@ -65,6 +65,13 @@ class TestParseDocument:
         page = parse_document(data)
         assert cell_tuples(page.elements[0].table) == {(0, 0, 1, 1, "Q1")}
 
+    def test_whole_number_floats_are_integers(self):
+        coord = [{"x": 0.0, "y": 0, "w": 2.0, "h": 1.0, "content": "Q1"}]
+        rowcol = [{"row": 0.0, "col": 0, "colspan": 2.0, "content": "Q1"}]
+        for cells in (coord, rowcol):
+            page = parse_document(json.dumps([{"type": "Table", "text": cells}]))
+            assert cell_tuples(page.elements[0].table) == {(0, 0, 1, 2, "Q1")}
+
     def test_every_object_becomes_one_element(self):
         rng = random.Random(1)
         for _ in range(50):
@@ -94,10 +101,6 @@ class TestParseDocument:
     def test_error_reports_offending_index(self):
         with pytest.raises(MalformedInput, match="element 1"):
             parse_document(b'[{"type":"A","text":"ok"},{"type":"B"}]')
-
-    def test_unknown_format_hint(self):
-        with pytest.raises(MalformedInput):
-            parse_document(b"[]", format_hint="yaml")
 
 
 class TestParseTableHtml:
@@ -329,8 +332,10 @@ class TestPairPages:
             ([{"row": 0, "col": 0}, {"row": 0, "col": 1, "rowspan": "2x"}],
              "cell 1 needs integer 'rowspan' and 'colspan'"),
             ([{"row": 0, "col": 0, "colspan": [2]}], "cell 0 needs integer 'rowspan' and 'colspan'"),
+            ([{"x": 0, "y": 0}, {"x": 1, "y": 0, "w": 1.9}], "cell 1 needs integer 'w' and 'h'"),
+            ([{"row": 0, "col": 0}, {"row": 0.5, "col": 1}], "cell 1 needs integer 'row' and 'col'"),
         ],
-        ids=["w-word", "h-null", "w-infinity", "rowspan-word", "colspan-list"],
+        ids=["w-word", "h-null", "w-infinity", "rowspan-word", "colspan-list", "w-fraction", "row-fraction"],
     )
     def test_non_integer_span_becomes_notice(self, tmp_path, table, named):
         for side in ("gt", "pred"):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -52,6 +53,32 @@ class TestEvaluatePage:
         assert report.table.detection.f_beta == 1.0
         assert report.consistency == 1.0
         assert report.notices == []
+
+    def test_each_element_pair_ned_is_computed_once(self, monkeypatch):
+        # adjusted NED and element matching share one table of element NEDs
+        from score_eval import textmetrics
+
+        original = textmetrics.ned
+        calls = []
+
+        def counting_ned(s, g):
+            calls.append((s, g))
+            return original(s, g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("score_eval") and getattr(module, "ned", None) is original:
+                monkeypatch.setattr(module, "ned", counting_ned)
+        gt_texts = ["alpha beta gamma", "delta epsilon zeta", "eta theta iota"]
+        pred_texts = ["delta epsilon zeda", "alpha beta gamna", "eta theta iotta"]
+        pair = simple_pair(
+            [{"type": "Text", "text": t} for t in gt_texts],
+            [{"type": "Text", "text": t} for t in pred_texts],
+        )
+        report = evaluate_page(pair)
+        assert report.consistency == 1.0
+        as_pred_gt = [(s, g) if s in pred_texts else (g, s) for s, g in calls]
+        assert set(as_pred_gt) == {(p, g) for p in pred_texts for g in gt_texts}
+        assert len(as_pred_gt) == len(set(as_pred_gt))
 
     def test_prediction_without_tables(self):
         pred_items = [item for item in PERFECT_ITEMS if item["type"] != "Table"]

@@ -13,7 +13,6 @@ from score_eval.textmetrics import (
     bag_similarity,
     cer,
     content_tokens,
-    element_similarity,
     levenshtein,
     ned,
     page_text,
@@ -296,35 +295,38 @@ class TestPageText:
 
 
 class TestElementSimilarity:
+    """Per-element similarity routing, observed through ``adjusted_ned``."""
+
     def test_table_bags_ignore_order(self):
-        pred = Element("Table", "", grid(["Q1", "Q2"], ["$100K", "$200K"]))
-        gt_page = make_page(grid(["Q1", "$100K"], ["Q2", "$200K"]))
-        sim, idx = element_similarity(pred, gt_page, "table")
-        assert sim == 1.0 and idx == 0
+        pred = DocumentPage("t", [Element("Table", "", grid(["Q1", "Q2"], ["$100K", "$200K"]))])
+        gt = make_page(grid(["Q1", "$100K"], ["Q2", "$200K"]))
+        assert ned(page_text(pred), page_text(gt)) == 0.0
+        assert adjusted_ned(pred, gt) == 1.0
 
     def test_identical_paragraph(self):
-        pred = Element("Text", "same words here")
-        gt_page = make_page(("Text", "same words here"))
-        sim, idx = element_similarity(pred, gt_page, "paragraph")
-        assert sim == 1.0 and idx == 0
+        pred = make_page(("Text", "same words here"))
+        gt = make_page(("Title", "A heading"), ("Text", "same words here"))
+        assert ned(page_text(pred), page_text(gt)) < 1.0
+        assert adjusted_ned(pred, gt) == 1.0
 
     def test_unrelated_paragraph_scores_near_zero(self):
-        pred = Element("Text", "xyz")
-        gt_page = make_page(("Text", "completely different content"))
-        sim, _ = element_similarity(pred, gt_page, "paragraph")
+        pred = make_page(("Text", "xyz"))
+        gt = make_page(("Text", "completely different content"))
         # oracle: levenshtein("xyz", "completely different content") == 27
-        assert sim == pytest.approx(1 - 27 / 28)
+        assert adjusted_ned(pred, gt) == 1 - 27 / 28
 
     def test_no_candidates(self):
-        pred = Element("Table", "", grid(["a"]))
-        sim, idx = element_similarity(pred, make_page(("Text", "a")), "table")
-        assert sim == 0.0 and idx is None
+        # a table prediction is compared with GT tables only, never with
+        # text, even when its cell text equals the GT paragraph
+        pred = DocumentPage("t", [Element("Table", "", grid(["a"]))])
+        assert adjusted_ned(pred, make_page(("Text", "a"))) == 0.0
 
     def test_claimed_elements_are_skipped(self):
-        pred = Element("Text", "abc")
-        gt_page = make_page(("Text", "abc"), ("Text", "abd"))
-        sim, idx = element_similarity(pred, gt_page, "paragraph", claimed=frozenset({0}))
-        assert idx == 1 and sim == pytest.approx(1 - 1 / 3)
+        # both predictions prefer GT 0; the second gets its next best, GT 1
+        pred = make_page(("Text", "abc"), ("Text", "abc"))
+        gt = make_page(("Text", "abc"), ("Text", "abd"), ("Text", "a long closing paragraph"))
+        assert ned(page_text(pred), page_text(gt)) < 5 / 6
+        assert adjusted_ned(pred, gt) == (1.0 + (1 - 1 / 3)) / 2
 
 
 class TestAdjustedNed:
@@ -368,16 +370,18 @@ class TestAdjustedNed:
         from score_eval.hierarchy import CategoryMap
 
         cmap = CategoryMap.default()
-        gt = make_page(("Figure", "Revenue by quarter"), ("Text", "Some body text"))
+        gt = make_page(
+            ("Figure", "Revenue by quarter"),
+            ("Text", "Some body text"),
+            ("Text", "A closing paragraph long enough to keep the raw page similarity low"),
+        )
         pred = make_page(("Image", "Revenue by quarter"))
-        sim, idx = element_similarity(pred.elements[0], gt, "figure", kind_for=cmap.kind)
-        assert sim == 1.0 and idx == 0
+        assert adjusted_ned(pred, gt, kind_for=cmap.kind) == 1.0
         # the identical-text TEXT element is not a figure candidate; the
         # only claimable element is the (dissimilar) figure caption
-        pred_only_text = Element("Image", "Some body text")
-        sim, idx = element_similarity(pred_only_text, gt, "figure", kind_for=cmap.kind)
-        assert idx == 0
-        assert sim == pytest.approx(ned("Some body text", "Revenue by quarter"))
+        pred_only_text = make_page(("Image", "Some body text"))
+        assert ned(page_text(pred_only_text), page_text(gt)) < ned("Some body text", "Revenue by quarter")
+        assert adjusted_ned(pred_only_text, gt, kind_for=cmap.kind) == ned("Some body text", "Revenue by quarter")
 
 
 class TestContentTokens:
