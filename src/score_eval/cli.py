@@ -77,23 +77,24 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             return cli_value
         return values.get(key, default)
 
+    base = RunConfig()
     tokenizer = TokenizerConfig(
-        case_fold=values.get("case_fold", True),
-        strip_punct=values.get("strip_punct", False),
-        unicode_normalize=values.get("unicode_normalize", "NFC"),
+        case_fold=values.get("case_fold", base.tokenizer.case_fold),
+        strip_punct=values.get("strip_punct", base.tokenizer.strip_punct),
+        unicode_normalize=values.get("unicode_normalize", base.tokenizer.unicode_normalize),
     )
     formats = pick(args.format, "formats", "json,csv,markdown" if args.out else "markdown")
     cfg = RunConfig(
         tokenizer=tokenizer,
-        shift_n=pick(args.shift_n, "shift_n", 2),
-        det_tau=pick(args.tau, "det_tau", 0.5),
-        det_beta=pick(args.beta, "det_beta", 1.0),
-        sim_threshold=values.get("sim_threshold", 0.5),
-        index_gate=values.get("index_gate", 0.5),
-        diff_epsilon=pick(args.diff_epsilon, "diff_epsilon", 0.01),
-        category_map_path=pick(args.category_map, "category_map", None),
+        shift_n=pick(args.shift_n, "shift_n", base.shift_n),
+        det_tau=pick(args.tau, "det_tau", base.det_tau),
+        det_beta=pick(args.beta, "det_beta", base.det_beta),
+        sim_threshold=values.get("sim_threshold", base.sim_threshold),
+        index_gate=values.get("index_gate", base.index_gate),
+        diff_epsilon=pick(args.diff_epsilon, "diff_epsilon", base.diff_epsilon),
+        category_map_path=pick(args.category_map, "category_map", base.category_map_path),
         formats=tuple(part.strip() for part in formats.split(",") if part.strip()),
-        jobs=pick(args.jobs, "jobs", 1),
+        jobs=pick(args.jobs, "jobs", base.jobs),
     )
     cfg.validate()
     if cfg.category_map_path and not Path(cfg.category_map_path).is_file():

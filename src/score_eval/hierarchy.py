@@ -14,8 +14,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import InvalidThreshold, MalformedInput
 from .ingest import DocumentPage
 from .textmetrics import PreparedPage, element_neds, greedy_one_to_one, ned_upper_bound
@@ -132,23 +130,20 @@ class ConfusionMatrix:
     ground-truth elements.
     """
 
-    counts: np.ndarray
+    counts: list[list[int]]
 
     @classmethod
     def zeros(cls) -> "ConfusionMatrix":
-        return cls(np.zeros((len(LABELS), len(LABELS)), dtype=np.int64))
+        return cls([[0] * len(LABELS) for _ in LABELS])
 
     def add(self, gt_label: str, pred_label: str, n: int = 1) -> None:
-        self.counts[_INDEX[gt_label], _INDEX[pred_label]] += n
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
+        self.counts[_INDEX[gt_label]][_INDEX[pred_label]] += n
 
     def nonzero_entries(self) -> dict[tuple[str, str], int]:
         out = {}
         for i, gt_label in enumerate(LABELS):
             for j, pred_label in enumerate(LABELS):
-                n = int(self.counts[i, j])
+                n = self.counts[i][j]
                 if n:
                     out[(gt_label, pred_label)] = n
         return out
@@ -190,11 +185,11 @@ def consistency_score(matrix: ConfusionMatrix) -> float:
     counts = matrix.counts
     scores = []
     for k, _ in enumerate(CATEGORIES):
-        row_mass = int(counts[k, :].sum())
-        col_mass = int(counts[:, k].sum())
+        row_mass = sum(counts[k])
+        col_mass = sum(row[k] for row in counts)
         if row_mass == 0 and col_mass == 0:
             continue
-        tp = int(counts[k, k])
+        tp = counts[k][k]
         fp = col_mass - tp
         fn = row_mass - tp
         denom = 2 * tp + fp + fn

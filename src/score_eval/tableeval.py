@@ -9,11 +9,9 @@ the larger tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidThreshold, OverlappingCells
 from .textmetrics import DEFAULT_TOKENIZER, TokenizerConfig, bag_similarity, ned, tokenize
@@ -112,6 +110,66 @@ def table_similarity(
     return bag_similarity(tokenize(p.flat_text(), cfg), tokenize(g.flat_text(), cfg))
 
 
+def _max_assignment(profit: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
+    """(row, col) pairs of a maximum-profit one-to-one assignment, in row order.
+
+    Every row of the shorter side is assigned.  This is the shortest
+    augmenting path method of Crouse 2016 ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4)) step for step
+    as ``scipy.optimize.linear_sum_assignment`` runs it, so tied optima
+    resolve to the same pairs: a tall matrix is transposed, each search
+    scans the free columns from a list filled in reverse and shrunk by
+    swap-remove, and an unassigned column wins a tie in reduced cost.
+    """
+    if not profit or not profit[0]:
+        return []
+    transpose = len(profit[0]) < len(profit)
+    cost = [[-x for x in row] for row in (zip(*profit) if transpose else profit)]
+    n_rows, n_cols = len(cost), len(cost[0])
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    path, col4row, row4col = [-1] * n_cols, [-1] * n_rows, [-1] * n_cols
+    for cur in range(n_rows):
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows: list[int] = []
+        seen_cols: list[int] = []
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            seen_rows.append(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:  # flip the path's edges back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        return sorted((i, j) for j, i in enumerate(col4row))
+    return list(enumerate(col4row))
+
+
 def match_tables(
     preds: Sequence[NormalizedTable],
     gts: Sequence[NormalizedTable],
@@ -130,17 +188,11 @@ def match_tables(
     if beta <= 0.0:
         raise InvalidThreshold(f"beta must be positive, got {beta}")
 
-    pairs: list[tuple[int, int, float]] = []
-    if preds and gts:
-        sims = np.array([[table_similarity(p, g, cfg) for g in gts] for p in preds])
-        valid = sims >= tau
-        profit = np.where(valid, sims + _CARDINALITY_BONUS, 0.0)
-        rows, cols = linear_sum_assignment(profit, maximize=True)
-        pairs = sorted(
-            (int(i), int(j), float(sims[i, j]))
-            for i, j in zip(rows, cols)
-            if valid[i, j]
-        )
+    pred_bags = [tokenize(p.flat_text(), cfg) for p in preds]
+    gt_bags = [tokenize(g.flat_text(), cfg) for g in gts]
+    sims = [[bag_similarity(p, g) for g in gt_bags] for p in pred_bags]
+    profit = [[s + _CARDINALITY_BONUS if s >= tau else 0.0 for s in row] for row in sims]
+    pairs = [(i, j, sims[i][j]) for i, j in _max_assignment(profit) if sims[i][j] >= tau]
 
     tp = len(pairs)
     fp = len(preds) - tp
@@ -335,13 +387,13 @@ def tree_edit_distance(a: TableTree, b: TableTree) -> float:
     ta, tb = _Annotated(a), _Annotated(b)
     la, lb = ta.lmds, tb.lmds
     na, nb = ta.nodes, tb.nodes
-    dist = np.zeros((len(na), len(nb)))
+    dist = [[0.0] * len(nb) for _ in na]
 
     for i in ta.keyroots:
         for j in tb.keyroots:
             m = i - la[i] + 2
             n = j - lb[j] + 2
-            fd = np.zeros((m, n))
+            fd = [[0.0] * n for _ in range(m)]
             ioff = la[i] - 1
             joff = lb[j] - 1
             for x in range(1, m):
@@ -365,7 +417,7 @@ def tree_edit_distance(a: TableTree, b: TableTree) -> float:
                             fd[x][y - 1] + 1.0,
                             fd[p][q] + dist[x + ioff][y + joff],
                         )
-    return float(dist[-1][-1])
+    return dist[-1][-1]
 
 
 def teds(a: TableTree, b: TableTree) -> float:

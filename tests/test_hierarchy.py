@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from score_eval.errors import InvalidThreshold, MalformedInput
@@ -14,6 +13,14 @@ from score_eval.hierarchy import (
     match_elements,
 )
 from score_eval.ingest import DocumentPage, Element
+
+
+def total(counts: list[list[int]]) -> int:
+    return sum(map(sum, counts))
+
+
+def trace(counts: list[list[int]]) -> int:
+    return sum(counts[k][k] for k in range(len(counts)))
 
 
 def page(*parts) -> DocumentPage:
@@ -130,7 +137,7 @@ class TestBuildConfusion:
         cmap = CategoryMap.default()
         matching = match_elements(GT_PAGE, GT_PAGE)
         matrix = build_confusion(matching, GT_PAGE, GT_PAGE, cmap)
-        off_diagonal = matrix.counts.sum() - np.trace(matrix.counts)
+        off_diagonal = total(matrix.counts) - trace(matrix.counts)
         assert off_diagonal == 0
 
     def test_empty_gt_all_nomatch_row(self):
@@ -152,8 +159,8 @@ class TestBuildConfusion:
             matching = match_elements(gt, pred, 0.5)
             matrix = build_confusion(matching, gt, pred, cmap)
             unmatched_pred = len(pred.elements) - len(matching)
-            assert matrix.counts.sum() == len(gt.elements) + unmatched_pred
-            assert matrix.counts[len(CATEGORIES), len(CATEGORIES)] == 0  # NOMATCH x NOMATCH
+            assert total(matrix.counts) == len(gt.elements) + unmatched_pred
+            assert matrix.counts[len(CATEGORIES)][len(CATEGORIES)] == 0  # NOMATCH x NOMATCH
 
     def test_relabeling_invariance(self):
         base = {"alpha-label": "TITLE", "beta-label": "TEXT"}
@@ -164,7 +171,7 @@ class TestBuildConfusion:
         pred_b = page(("gamma-label", "heading text"), ("delta-label", "body text"))
         m_a = build_confusion(match_elements(gt_a, pred_a), gt_a, pred_a, CategoryMap(base))
         m_b = build_confusion(match_elements(gt_b, pred_b), gt_b, pred_b, CategoryMap(renamed))
-        assert np.array_equal(m_a.counts, m_b.counts)
+        assert m_a.counts == m_b.counts
 
 
 class TestConsistencyScore:
@@ -202,14 +209,6 @@ class TestConsistencyScore:
                 matrix.add(gt_label, pred_label)
             score = consistency_score(matrix)
             assert 0.0 <= score <= 1.0
-            off_diag = matrix.counts.sum() - np.trace(matrix.counts)
+            off_diag = total(matrix.counts) - trace(matrix.counts)
             if score == 1.0:
                 assert off_diag == 0
-
-    def test_matrices_sum_associatively(self):
-        a = ConfusionMatrix.zeros()
-        a.add("TEXT", "TEXT")
-        b = ConfusionMatrix.zeros()
-        b.add("TEXT", NOMATCH)
-        combined = a + b
-        assert combined.nonzero_entries() == {("TEXT", "TEXT"): 1, ("TEXT", NOMATCH): 1}

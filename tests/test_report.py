@@ -1,6 +1,9 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +339,16 @@ class TestCli:
         assert len(report["pages"]) == 3
         assert (out / "pages.csv").exists() and (out / "summary.md").exists()
 
+    def test_defaults_come_from_run_config(self, tmp_path):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        out = tmp_path / "out"
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["aggregate"]["run_config"] == RunConfig(formats=("json", "csv", "markdown")).to_dict()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
@@ -407,3 +420,33 @@ class TestCli:
         assert code == 0
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["pages"][0]["confusion"] == {"TEXT": {"TEXT": 1}}
+
+
+# Runs in a fresh interpreter: imports the CLI, then scores the wikimedia
+# pair, whose table detection goes through the assignment solver.
+_IMPORT_PROBE = """
+import sys
+from pathlib import Path
+
+import score_eval.cli
+from score_eval.ingest import PagePair, parse_document
+from score_eval.report import evaluate_page
+
+fixtures = Path(sys.argv[1])
+gt, pred = (
+    parse_document((fixtures / f"wikimedia_{side}.json").read_bytes(), page_id="wikimedia")
+    for side in ("gt", "pred")
+)
+report = evaluate_page(PagePair("wikimedia", gt, pred))
+print(report.table.detection.true_positives)
+print(sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_import_and_evaluation_load_no_numpy_or_scipy(fixtures_dir):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(fixtures_dir)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines() == ["1", "[]"]

@@ -6,9 +6,11 @@ from conftest import rand_grid_table, translate_table
 from oracles import best_assignment, f_measure, tree_distance_by_mappings
 from score_eval.errors import InvalidThreshold
 from score_eval.tableeval import (
+    _CARDINALITY_BONUS,
     Cell,
     NormalizedTable,
     TableTree,
+    _max_assignment,
     build_table_tree,
     cell_alignment,
     content_index_accuracy,
@@ -126,6 +128,34 @@ class TestMatchTables:
         result = match_tables([QUARTERS], [QUARTERS, grid(["zz"])], beta=1.0)
         p, r = result.precision, result.recall
         assert result.f_beta == pytest.approx(2 * p * r / (p + r))
+
+
+class TestMaxAssignment:
+    def test_empty_inputs(self):
+        assert _max_assignment([]) == []
+        assert _max_assignment([[]]) == []
+
+    def test_same_pairs_as_scipy(self):
+        # scipy is the reference implementation here, and only here
+        import numpy as np
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(43)
+        levels = (0.0, 0.25, 0.5, 0.75, 1.0)
+        draws = (lambda: rng.choice(levels), rng.random)
+        checked = 0
+        for tau in (0.3, 0.5, 1.0):
+            for draw in draws:
+                for _ in range(2000):
+                    n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+                    sims = [[draw() for _ in range(n_cols)] for _ in range(n_rows)]
+                    # built exactly as match_tables builds it
+                    profit = [[s + _CARDINALITY_BONUS if s >= tau else 0.0 for s in row] for row in sims]
+                    rows, cols = linear_sum_assignment(np.array(profit), maximize=True)
+                    want = [(int(i), int(j)) for i, j in zip(rows, cols)]
+                    assert _max_assignment(profit) == want, (tau, sims)
+                    checked += 1
+        assert checked >= 10_000
 
 
 class TestFlatten:

@@ -13,6 +13,7 @@ from score_eval.textmetrics import (
     bag_similarity,
     cer,
     content_tokens,
+    greedy_one_to_one,
     levenshtein,
     ned,
     page_text,
@@ -383,6 +384,26 @@ class TestAdjustedNed:
         assert ned(page_text(pred_only_text), page_text(gt)) < ned("Some body text", "Revenue by quarter")
         assert adjusted_ned(pred_only_text, gt, kind_for=cmap.kind) == ned("Some body text", "Revenue by quarter")
 
+
+    def test_alignment_tie_order_cannot_change_the_accepted_pairs(self):
+        # Within one similarity class, the first free pair in (GT, pred) order
+        # is accepted in (pred, GT) order too: no pair ahead of it there
+        # shares its GT or its pred index.  Both orders then go on with what
+        # is left, so the accepted sets agree and the alignment's tie order
+        # cannot be observed.
+        rng = random.Random(89)
+        for _ in range(3000):
+            n_pred, n_gt = rng.randint(1, 4), rng.randint(1, 5)
+            levels = [rng.choice((0.25, 0.5, 0.75, 1.0)) for _ in range(2)]
+            candidates = [
+                (rng.choice(levels), i, j)
+                for i in range(n_pred)
+                for j in range(n_gt)
+                if rng.random() < 0.6
+            ]
+            by_gt = greedy_one_to_one(candidates, lambda c: (-c[0], c[2], c[1]))
+            by_pred = greedy_one_to_one(candidates, lambda c: (-c[0], c[1], c[2]))
+            assert set(by_gt) == set(by_pred)
 
 class TestContentTokens:
     def test_table_markup_is_not_content(self):
