@@ -11,6 +11,7 @@ call concurrently.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
@@ -127,14 +128,15 @@ def parse_table_rowcol(data: Union[bytes, str, list]) -> NormalizedTable:
     return NormalizedTable.from_cells(cells)
 
 
+# HTML's rules for parsing non-negative integers: leading ASCII
+# whitespace, an optional "+", then the leading ASCII digits.
+_HTML_NON_NEGATIVE = re.compile(r"[\t\n\f\r ]*\+?([0-9]+)")
+
+
 def _span_attr(attrs: dict[str, Optional[str]], name: str) -> int:
-    raw = attrs.get(name)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw.strip()))
-    except ValueError:
-        return 1
+    """A rowspan or colspan as browsers read it; no digits, a minus sign or 0 give 1."""
+    match = _HTML_NON_NEGATIVE.match(attrs.get(name) or "")
+    return max(1, int(match.group(1))) if match else 1
 
 
 # Tags whose boundaries separate text when rendered; inline markup

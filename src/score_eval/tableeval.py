@@ -9,9 +9,10 @@ the larger tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidThreshold, OverlappingCells
 from .textmetrics import DEFAULT_TOKENIZER, TokenizerConfig, bag_similarity, ned, tokenize
@@ -227,9 +228,9 @@ def _axis_score(
     p_strings: Sequence[str],
     g_strings: Sequence[str],
     delta: int,
-    memo: dict[tuple[str, str], float],
-) -> tuple[float, float]:
-    """Length-weighted ned sum over aligned axis strings, plus the weight."""
+    ned_of: Callable[[str, str], float],
+) -> float:
+    """Length-weighted mean ned over aligned axis strings; 1.0 if all are empty."""
     shifted = {i + delta: s for i, s in enumerate(g_strings)}
     num = den = 0.0
     for i in set(range(len(p_strings))) | set(shifted):
@@ -238,14 +239,38 @@ def _axis_score(
         weight = max(len(s), len(g))
         if weight == 0:
             continue
-        pair = (s, g)
-        score = memo.get(pair)
-        if score is None:
-            score = ned(s, g)
-            memo[pair] = score
-        num += weight * score
+        num += weight * ned_of(s, g)
         den += weight
-    return num, den
+    return num / den if den else 1.0
+
+
+def _shift_scores(
+    p: NormalizedTable,
+    g: NormalizedTable,
+    shifts: Iterable[tuple[int, int]],
+    index_gate: float,
+) -> Iterator[tuple[float, float, tuple[int, int]]]:
+    """(content, index, shift) for each GT grid shift, in the order given.
+
+    What no shift changes (flattened axes, occupancy, GT unit positions)
+    is built once, each axis score is computed once per delta, and each
+    distinct string pair's ned once per call.
+    """
+    ned_of = functools.cache(ned)
+    p_rows, g_rows = flatten(p, "row"), flatten(g, "row")
+    p_cols, g_cols = flatten(p, "col"), flatten(g, "col")
+    row_score = functools.cache(lambda d: _axis_score(p_rows, g_rows, d, ned_of))
+    col_score = functools.cache(lambda d: _axis_score(p_cols, g_cols, d, ned_of))
+    occupied = p.occupancy()
+    units = [(r, c, cell.content) for cell in g.cells for r, c in cell.positions()]
+    for d_row, d_col in shifts:
+        hits = 0
+        for r, c, content in units:
+            pred_cell = occupied.get((r + d_row, c + d_col))
+            if pred_cell is not None and ned_of(pred_cell.content, content) >= index_gate:
+                hits += 1
+        index = hits / len(units) if units else 1.0
+        yield max(row_score(d_row), col_score(d_col)), index, (d_row, d_col)
 
 
 def cell_alignment(
@@ -253,7 +278,6 @@ def cell_alignment(
     g: NormalizedTable,
     shift: tuple[int, int] = (0, 0),
     index_gate: float = 0.5,
-    _memo: Optional[dict[tuple[str, str], float]] = None,
 ) -> tuple[float, float]:
     """Content and index accuracy after shifting the GT grid by `shift`.
 
@@ -264,31 +288,7 @@ def cell_alignment(
     cells whose shifted position is occupied in the prediction by a
     cell whose content clears the gate.
     """
-    memo = _memo if _memo is not None else {}
-    d_row, d_col = shift
-
-    num_r, den_r = _axis_score(flatten(p, "row"), flatten(g, "row"), d_row, memo)
-    num_c, den_c = _axis_score(flatten(p, "col"), flatten(g, "col"), d_col, memo)
-    row_score = num_r / den_r if den_r else 1.0
-    col_score = num_c / den_c if den_c else 1.0
-    content = max(row_score, col_score)
-
-    occupied = p.occupancy()
-    hits = total = 0
-    for cell in g.cells:
-        for r, c in cell.positions():
-            total += 1
-            pred_cell = occupied.get((r + d_row, c + d_col))
-            if pred_cell is None:
-                continue
-            pair = (pred_cell.content, cell.content)
-            score = memo.get(pair)
-            if score is None:
-                score = ned(*pair)
-                memo[pair] = score
-            if score >= index_gate:
-                hits += 1
-    index = hits / total if total else 1.0
+    content, index, _ = next(_shift_scores(p, g, [shift], index_gate))
     return content, index
 
 
@@ -306,17 +306,12 @@ def content_index_accuracy(
     """
     if n < 0:
         raise InvalidThreshold(f"shift bound must be >= 0, got {n}")
-    memo: dict[tuple[str, str], float] = {}
-    best_rank: Optional[tuple[float, int, tuple[int, int]]] = None
-    best = (0.0, 0.0, (0, 0))
-    for d_row in range(-n, n + 1):
-        for d_col in range(-n, n + 1):
-            content, index = cell_alignment(p, g, (d_row, d_col), index_gate, memo)
-            rank = (-(content + index), abs(d_row) + abs(d_col), (d_row, d_col))
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = (content, index, (d_row, d_col))
-    return CellAccuracy(content_acc=best[0], index_acc=best[1], best_shift=best[2])
+    shifts = [(d_row, d_col) for d_row in range(-n, n + 1) for d_col in range(-n, n + 1)]
+    content, index, shift = min(
+        _shift_scores(p, g, shifts, index_gate),
+        key=lambda s: (-(s[0] + s[1]), abs(s[2][0]) + abs(s[2][1]), s[2]),
+    )
+    return CellAccuracy(content_acc=content, index_acc=index, best_shift=shift)
 
 
 @dataclass

@@ -243,7 +243,13 @@ def content_tokens(page: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZE
 
 
 def default_kind(element: "Element") -> str:
-    """Fallback element-kind routing when no category map is supplied."""
+    """Fallback element-kind routing when no category map is supplied.
+
+    It differs from ``CategoryMap.kind`` on two labels.  A ``diagram`` is
+    a paragraph here but a figure under the category map.  A ``table``
+    label without parsed cells is a paragraph here, while the category
+    map calls it a table, so it has no alignment candidate.
+    """
     if element.table is not None:
         return "table"
     label = element.raw_label.strip().casefold()
@@ -348,6 +354,11 @@ def adjusted_ned(
     element (one claim per GT element, highest similarity first, ties
     broken toward the lower GT index) and contributes its similarity
     weighted by its token count.
+
+    ``kind_for`` routes each element to its candidates.  The default,
+    ``default_kind``, reads the raw label; evaluation passes
+    ``CategoryMap.kind``, which differs on ``diagram`` labels and on
+    ``table`` labels without parsed cells (see ``default_kind``).
     """
     raw = ned(page_text(pred), page_text(gt))
     pred_prep, gt_prep = PreparedPage(pred, cfg, kind_for), PreparedPage(gt, cfg, kind_for)

@@ -107,6 +107,17 @@ def to_html(t: NormalizedTable) -> str:
     return "".join(parts)
 
 
+def span_rows_html(rows: list[list[tuple[str, int, int]]]) -> str:
+    """HTML for (content, rowspan, colspan) rows, spans always written out."""
+    return "<table>" + "".join(
+        "<tr>" + "".join(
+            f'<td rowspan="{rowspan}" colspan="{colspan}">{content}</td>'
+            for content, rowspan, colspan in row
+        ) + "</tr>"
+        for row in rows
+    ) + "</table>"
+
+
 def to_coord_cells(t: NormalizedTable) -> list[dict]:
     return [
         {"x": c.col, "y": c.row, "w": c.colspan, "h": c.rowspan, "content": c.content}

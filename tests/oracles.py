@@ -8,9 +8,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
-from score_eval.tableeval import TableTree, _substitution_cost
+from score_eval.tableeval import (
+    CellAccuracy,
+    NormalizedTable,
+    TableTree,
+    _substitution_cost,
+    flatten,
+)
+from score_eval.textmetrics import ned
 
 
 def edit_distance_recursive(a: str, b: str) -> int:
@@ -161,3 +168,84 @@ def f_measure(tp: int, fp: int, fn: int, beta: float) -> float:
     if denom == 0:
         return 0.0
     return (1 + beta * beta) * precision * recall / denom
+
+
+def _axis_score_per_shift(
+    p_strings: Sequence[str],
+    g_strings: Sequence[str],
+    delta: int,
+    memo: dict[tuple[str, str], float],
+) -> tuple[float, float]:
+    """Length-weighted ned sum over aligned axis strings, plus the weight."""
+    shifted = {i + delta: s for i, s in enumerate(g_strings)}
+    num = den = 0.0
+    for i in set(range(len(p_strings))) | set(shifted):
+        s = p_strings[i] if 0 <= i < len(p_strings) else ""
+        g = shifted.get(i, "")
+        weight = max(len(s), len(g))
+        if weight == 0:
+            continue
+        pair = (s, g)
+        score = memo.get(pair)
+        if score is None:
+            score = ned(s, g)
+            memo[pair] = score
+        num += weight * score
+        den += weight
+    return num, den
+
+
+def cell_alignment_per_shift(
+    p: NormalizedTable,
+    g: NormalizedTable,
+    shift: tuple[int, int] = (0, 0),
+    index_gate: float = 0.5,
+    _memo: Optional[dict[tuple[str, str], float]] = None,
+) -> tuple[float, float]:
+    """One shift's content and index accuracy, everything rebuilt per call."""
+    memo = _memo if _memo is not None else {}
+    d_row, d_col = shift
+
+    num_r, den_r = _axis_score_per_shift(flatten(p, "row"), flatten(g, "row"), d_row, memo)
+    num_c, den_c = _axis_score_per_shift(flatten(p, "col"), flatten(g, "col"), d_col, memo)
+    row_score = num_r / den_r if den_r else 1.0
+    col_score = num_c / den_c if den_c else 1.0
+    content = max(row_score, col_score)
+
+    occupied = p.occupancy()
+    hits = total = 0
+    for cell in g.cells:
+        for r, c in cell.positions():
+            total += 1
+            pred_cell = occupied.get((r + d_row, c + d_col))
+            if pred_cell is None:
+                continue
+            pair = (pred_cell.content, cell.content)
+            score = memo.get(pair)
+            if score is None:
+                score = ned(*pair)
+                memo[pair] = score
+            if score >= index_gate:
+                hits += 1
+    index = hits / total if total else 1.0
+    return content, index
+
+
+def content_index_accuracy_per_shift(
+    p: NormalizedTable,
+    g: NormalizedTable,
+    n: int = 2,
+    index_gate: float = 0.5,
+) -> CellAccuracy:
+    """Best of (2n+1)^2 independent per-shift alignments, compared one by one."""
+    memo: dict[tuple[str, str], float] = {}
+    best_rank: Optional[tuple[float, int, tuple[int, int]]] = None
+    best = (0.0, 0.0, (0, 0))
+    for d_row in range(-n, n + 1):
+        for d_col in range(-n, n + 1):
+            content, index = cell_alignment_per_shift(p, g, (d_row, d_col), index_gate, memo)
+            rank = (-(content + index), abs(d_row) + abs(d_col), (d_row, d_col))
+            if best_rank is None or rank < best_rank:
+                best_rank = rank
+                best = (content, index, (d_row, d_col))
+    return CellAccuracy(content_acc=best[0], index_acc=best[1], best_shift=best[2])

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from conftest import rand_grid_table, rand_span_rows, to_coord_cells, to_html, to_rowcol_cells
+from conftest import (
+    rand_grid_table,
+    rand_span_rows,
+    span_rows_html,
+    to_coord_cells,
+    to_html,
+    to_rowcol_cells,
+)
 from oracles import grid_fill_by_matrix
 from score_eval.errors import (
     EmptyDataset,
@@ -132,6 +139,18 @@ class TestParseTableHtml:
         b = parse_table_html("<table><tr><td>h</td></tr></table>")
         assert cell_tuples(a) == cell_tuples(b)
 
+    @pytest.mark.parametrize(
+        "raw, span",
+        [("2.5", 2), ("3px", 3), (" +2", 2), ("1_0", 1), ("٣", 1),
+         ("0", 1), ("-2", 1), ("x", 1), ("2", 2)],
+    )
+    def test_spans_parse_as_browsers_do(self, raw, span):
+        # HTML's rules for parsing non-negative integers
+        wide = parse_table_html(f'<table><tr><td colspan="{raw}">a</td></tr></table>')
+        tall = parse_table_html(f'<table><tr><td rowspan="{raw}">a</td></tr></table>')
+        assert cell_tuples(wide) == {(0, 0, 1, span, "a")}
+        assert cell_tuples(tall) == {(0, 0, span, 1, "a")}
+
     def test_rowspan_grid_filling(self):
         table = parse_table_html(
             '<table><tr><td rowspan="2">a</td><td>b</td></tr><tr><td>c</td></tr></table>'
@@ -186,16 +205,7 @@ class TestParseTableHtml:
         rng = random.Random(19)
         for _ in range(100):
             rows = rand_span_rows(rng, max_rows=6, max_cols=6, max_span=3)
-            html_parts = ["<table>"]
-            for row in rows:
-                html_parts.append("<tr>")
-                for content, rowspan, colspan in row:
-                    html_parts.append(
-                        f'<td rowspan="{rowspan}" colspan="{colspan}">{content}</td>'
-                    )
-                html_parts.append("</tr>")
-            html_parts.append("</table>")
-            table = parse_table_html("".join(html_parts))
+            table = parse_table_html(span_rows_html(rows))
             assert cell_tuples(table) == grid_fill_by_matrix(rows)
 
 

@@ -2,12 +2,21 @@ import random
 
 import pytest
 
-from conftest import rand_grid_table, translate_table
-from oracles import best_assignment, f_measure, tree_distance_by_mappings
+from conftest import rand_grid_table, rand_span_rows, span_rows_html, translate_table
+from oracles import (
+    best_assignment,
+    cell_alignment_per_shift,
+    content_index_accuracy_per_shift,
+    f_measure,
+    tree_distance_by_mappings,
+)
+from score_eval import tableeval
 from score_eval.errors import InvalidThreshold
+from score_eval.ingest import parse_table_html
 from score_eval.tableeval import (
     _CARDINALITY_BONUS,
     Cell,
+    CellAccuracy,
     NormalizedTable,
     TableTree,
     _max_assignment,
@@ -20,6 +29,7 @@ from score_eval.tableeval import (
     teds,
     tree_edit_distance,
 )
+from score_eval.textmetrics import ned
 
 
 def grid(*rows) -> NormalizedTable:
@@ -256,6 +266,87 @@ class TestContentIndexAccuracy:
             acc = content_index_accuracy(pred, table, 2)
             assert acc.index_acc == 1.0
             assert acc.best_shift == (d_row, d_col)
+
+    def test_tie_prefers_lexicographically_smaller_shift(self):
+        # shifts (0, 1) and (1, 0) both score content 0.5 and index 1.0
+        gt = grid(["a"])
+        pred = NormalizedTable.from_cells([Cell(0, 1, 1, 1, "a"), Cell(1, 0, 1, 1, "a")])
+        for n in (1, 2):
+            assert content_index_accuracy(pred, gt, n) == CellAccuracy(0.5, 1.0, (0, 1))
+
+    def test_search_computes_shift_free_parts_once(self, monkeypatch):
+        flattened, pairs = [], []
+
+        def counting_flatten(t, axis="row"):
+            flattened.append(axis)
+            return flatten(t, axis)
+
+        def counting_ned(s, g):
+            pairs.append((s, g))
+            return ned(s, g)
+
+        monkeypatch.setattr(tableeval, "flatten", counting_flatten)
+        monkeypatch.setattr(tableeval, "ned", counting_ned)
+        pred = translate_table(grid(["Q1", "$100K"], ["Q2", "$200"]), 1, 0)
+        assert content_index_accuracy(pred, QUARTERS, 2).best_shift == (1, 0)
+        assert len(flattened) == 4
+        assert pairs and len(pairs) == len(set(pairs))
+
+    def test_matches_per_shift_oracle(self):
+        rng = random.Random(61)
+        cases = moved = 0
+        while cases < 10_000:
+            p, g = rand_shift_pair(rng)
+            for n in range(4):
+                for gate in (0.0, 0.5, 1.0):
+                    acc = content_index_accuracy(p, g, n, gate)
+                    assert acc == content_index_accuracy_per_shift(p, g, n, gate), (p, g, n, gate)
+                    cases += 1
+                    moved += acc.best_shift != (0, 0)
+            for shift in ((0, 0), (1, 2), (-1, 0), (-2, 1)):
+                want = cell_alignment_per_shift(p, g, shift, 0.5)
+                assert cell_alignment(p, g, shift, 0.5) == want, (p, g, shift)
+        assert moved >= 2_000
+
+
+def typo(rng: random.Random, text: str) -> str:
+    """`text` with one character replaced, dropped or doubled."""
+    if not text:
+        return "x"
+    i = rng.randrange(len(text))
+    return rng.choice((
+        text[:i] + rng.choice("xyz") + text[i + 1:],
+        text[:i] + text[i + 1:],
+        text[:i] + text[i] + text[i:],
+    ))
+
+
+def rand_table(rng: random.Random) -> NormalizedTable:
+    """A span-free grid, or a spanned table parsed from its HTML."""
+    if rng.random() < 0.5:
+        return rand_grid_table(rng)
+    return parse_table_html(span_rows_html(rand_span_rows(rng)))
+
+
+def rand_shift_pair(rng: random.Random) -> tuple[NormalizedTable, NormalizedTable]:
+    """(pred, GT): unrelated tables, or one table moved and edited.
+
+    Either side is translated by 0-2 rows and columns, so the best shift
+    takes both signs; prediction cells are blanked or typo'd.
+    """
+    gt = rand_table(rng)
+    if rng.random() < 0.2:
+        return rand_table(rng), gt
+    cells = []
+    for c in gt.cells:
+        roll = rng.random()
+        content = "" if roll < 0.1 else typo(rng, c.content) if roll < 0.3 else c.content
+        cells.append(Cell(c.row, c.col, c.rowspan, c.colspan, content))
+    pred = NormalizedTable.from_cells(cells)
+    d_row, d_col = rng.randint(0, 2), rng.randint(0, 2)
+    if rng.random() < 0.5:
+        return translate_table(pred, d_row, d_col), gt
+    return pred, translate_table(gt, d_row, d_col)
 
 
 class TestBuildTableTree:
