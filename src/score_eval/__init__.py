@@ -66,7 +66,6 @@ from .tableeval import (
 )
 from .textmetrics import (
     FidelityScores,
-    TokenBag,
     TokenizerConfig,
     adjusted_ned,
     bag_similarity,

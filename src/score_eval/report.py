@@ -56,6 +56,10 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        for name in ("det_tau", "det_beta", "sim_threshold", "index_gate", "diff_epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise MalformedInput(f"{name} must be finite, got {value}")
         if self.shift_n < 0:
             raise MalformedInput(f"shift_n must be >= 0, got {self.shift_n}")
         if not 0.0 < self.det_tau <= 1.0:
@@ -230,11 +234,16 @@ def evaluate_page(
         wer=wer_value,
     )
 
-    gt_tables = [e.table for e in gt.page.elements if e.table is not None]
-    pred_tables = [e.table for e in pred.page.elements if e.table is not None]
+    gt_at = [i for i, e in enumerate(gt.page.elements) if e.table is not None]
+    pred_at = [i for i, e in enumerate(pred.page.elements) if e.table is not None]
+    gt_tables = [gt.page.elements[i].table for i in gt_at]
+    pred_tables = [pred.page.elements[i].table for i in pred_at]
     table_scores = None
     if gt_tables or pred_tables:
-        detection = match_tables(pred_tables, gt_tables, cfg.det_tau, cfg.det_beta, cfg.tokenizer)
+        # detection reads the token bags the prepared pages already hold
+        detection = match_tables(
+            [pred.bags[i] for i in pred_at], [gt.bags[i] for i in gt_at], cfg.det_tau, cfg.det_beta
+        )
         if gt_tables:
             matched = {gi: pi for pi, gi, _ in detection.pairs}
             content_sum = index_sum = teds_sum = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -172,32 +173,31 @@ def _max_assignment(profit: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
 
 
 def match_tables(
-    preds: Sequence[NormalizedTable],
-    gts: Sequence[NormalizedTable],
+    pred_bags: Sequence[Counter[str]],
+    gt_bags: Sequence[Counter[str]],
     tau: float = 0.5,
     beta: float = 1.0,
-    cfg: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> DetectionResult:
     """One-to-one table matching maximizing total content similarity.
 
-    Only pairs at or above the similarity threshold count; the optimal
-    assignment is computed exactly, preferring more pairs among
-    equal-similarity optima.
+    Each table is given by the token bag of its cell contents
+    (``tokenize(table.flat_text(), cfg)``), so a pair's similarity is
+    ``table_similarity``.  Only pairs at or above the similarity
+    threshold count; the optimal assignment is computed exactly,
+    preferring more pairs among equal-similarity optima.
     """
     if not 0.0 < tau <= 1.0:
         raise InvalidThreshold(f"tau must be in (0, 1], got {tau}")
-    if beta <= 0.0:
-        raise InvalidThreshold(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise InvalidThreshold(f"beta must be positive and finite, got {beta}")
 
-    pred_bags = [tokenize(p.flat_text(), cfg) for p in preds]
-    gt_bags = [tokenize(g.flat_text(), cfg) for g in gts]
     sims = [[bag_similarity(p, g) for g in gt_bags] for p in pred_bags]
     profit = [[s + _CARDINALITY_BONUS if s >= tau else 0.0 for s in row] for row in sims]
     pairs = [(i, j, sims[i][j]) for i, j in _max_assignment(profit) if sims[i][j] >= tau]
 
     tp = len(pairs)
-    fp = len(preds) - tp
-    fn = len(gts) - tp
+    fp = len(pred_bags) - tp
+    fn = len(gt_bags) - tp
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     denom = beta * beta * precision + recall
@@ -306,7 +306,11 @@ def content_index_accuracy(
     """
     if n < 0:
         raise InvalidThreshold(f"shift bound must be >= 0, got {n}")
-    shifts = [(d_row, d_col) for d_row in range(-n, n + 1) for d_col in range(-n, n + 1)]
+    # A delta past the tables' extent leaves no row (column) overlapping,
+    # so it scores no better than delta 0 and loses the displacement tie.
+    rows = range(-min(n, g.n_rows), min(n, p.n_rows) + 1)
+    cols = range(-min(n, g.n_cols), min(n, p.n_cols) + 1)
+    shifts = [(d_row, d_col) for d_row in rows for d_col in cols]
     content, index, shift = min(
         _shift_scores(p, g, shifts, index_gate),
         key=lambda s: (-(s[0] + s[1]), abs(s[2][0]) + abs(s[2][1]), s[2]),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import EmptyReference
@@ -139,34 +139,12 @@ class TokenizerConfig:
 DEFAULT_TOKENIZER = TokenizerConfig()
 
 
-@dataclass
-class TokenBag:
-    """Frequency-preserving multiset of tokens."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.counts = {t: n for t, n in self.counts.items() if n > 0}
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __bool__(self) -> bool:
-        return bool(self.counts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TokenBag):
-            return NotImplemented
-        return self.counts == other.counts
-
-
 def _strip_punct(token: str) -> str:
     return "".join(c for c in token if not unicodedata.category(c).startswith("P"))
 
 
-def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenBag:
-    """Split on Unicode whitespace after the configured normalization."""
+def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> Counter[str]:
+    """Token bag of the text, split on Unicode whitespace after the configured normalization."""
     if cfg.unicode_normalize != "none":
         text = unicodedata.normalize(cfg.unicode_normalize, text)
     if cfg.case_fold:
@@ -174,32 +152,29 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenBag:
     tokens: Iterable[str] = text.split()
     if cfg.strip_punct:
         tokens = (t for t in map(_strip_punct, tokens) if t)
-    return TokenBag(dict(Counter(tokens)))
+    return Counter(tokens)
 
 
-def tokens_found(s_bag: TokenBag, g_bag: TokenBag) -> float:
+def tokens_found(s_bag: Counter[str], g_bag: Counter[str]) -> float:
     """Share of reference tokens preserved in the output, order-free."""
-    if g_bag.total == 0:
-        return 1.0 if s_bag.total == 0 else 0.0
-    kept = sum(min(n, s_bag.counts.get(t, 0)) for t, n in g_bag.counts.items())
-    return kept / g_bag.total
+    if g_bag.total() == 0:
+        return 1.0 if s_bag.total() == 0 else 0.0
+    return (g_bag & s_bag).total() / g_bag.total()
 
 
-def tokens_added(s_bag: TokenBag, g_bag: TokenBag) -> float:
+def tokens_added(s_bag: Counter[str], g_bag: Counter[str]) -> float:
     """Share of output tokens with no reference support (hallucination)."""
-    if s_bag.total == 0:
+    if s_bag.total() == 0:
         return 0.0
-    extra = sum(max(0, n - g_bag.counts.get(t, 0)) for t, n in s_bag.counts.items())
-    return extra / s_bag.total
+    return (s_bag - g_bag).total() / s_bag.total()
 
 
-def bag_similarity(a: TokenBag, b: TokenBag) -> float:
+def bag_similarity(a: Counter[str], b: Counter[str]) -> float:
     """Dice-style overlap of two bags; 1.0 when both are empty."""
-    denom = a.total + b.total
+    denom = a.total() + b.total()
     if denom == 0:
         return 1.0
-    common = sum(min(n, b.counts.get(t, 0)) for t, n in a.counts.items())
-    return 2.0 * common / denom
+    return 2.0 * (a & b).total() / denom
 
 
 @dataclass(frozen=True)
@@ -237,7 +212,7 @@ def content_text(element: "Element") -> str:
     return element.text
 
 
-def content_tokens(page: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenBag:
+def content_tokens(page: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> Counter[str]:
     """Token bag over the page's content, markup excluded."""
     return PreparedPage(page, cfg).token_bag()
 
@@ -277,12 +252,12 @@ class PreparedPage:
         self.bags = tuple(tokenize(t, cfg) for t in self.texts)
         self.kinds = tuple(kind_for(e) for e in page.elements)
 
-    def token_bag(self) -> TokenBag:
+    def token_bag(self) -> Counter[str]:
         """Token bag over the whole page's content."""
         merged: Counter[str] = Counter()
         for bag in self.bags:
-            merged.update(bag.counts)
-        return TokenBag(dict(merged))
+            merged.update(bag)
+        return merged
 
 
 def element_neds(pred: PreparedPage, gt: PreparedPage) -> Callable[[int, int], float]:
@@ -315,7 +290,7 @@ def _alignment_similarity(pred: PreparedPage, gt: PreparedPage, pair_ned: Callab
     tables, figures via caption edit similarity and only with figures,
     everything else via edit similarity with any element.
     """
-    weights = [bag.total for bag in pred.bags]
+    weights = [bag.total() for bag in pred.bags]
     total_weight = sum(weights)
     if total_weight == 0:
         return 0.0

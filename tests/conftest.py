@@ -14,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
 from score_eval.ingest import PagePair, parse_document
 from score_eval.tableeval import Cell, NormalizedTable
+from score_eval.textmetrics import tokenize
 
 WORDS = (
     "alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo lima "
@@ -78,6 +79,11 @@ def rand_span_rows(rng: random.Random, max_rows: int = 4, max_cols: int = 4,
             c += colspan
         rows.append(row)
     return rows
+
+
+def table_bags(tables):
+    """Per-table token bags, as ``match_tables`` takes them."""
+    return [tokenize(t.flat_text()) for t in tables]
 
 
 def translate_table(t: NormalizedTable, d_row: int, d_col: int) -> NormalizedTable:

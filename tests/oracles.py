@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from score_eval.tableeval import (
     CellAccuracy,
@@ -168,6 +168,33 @@ def f_measure(tp: int, fp: int, fn: int, beta: float) -> float:
     if denom == 0:
         return 0.0
     return (1 + beta * beta) * precision * recall / denom
+
+
+def tokens_found_by_sums(s_bag: Mapping[str, int], g_bag: Mapping[str, int]) -> float:
+    """Kept reference tokens as a sum of per-token minima."""
+    g_total = sum(g_bag.values())
+    if g_total == 0:
+        return 1.0 if sum(s_bag.values()) == 0 else 0.0
+    kept = sum(min(n, s_bag.get(t, 0)) for t, n in g_bag.items())
+    return kept / g_total
+
+
+def tokens_added_by_sums(s_bag: Mapping[str, int], g_bag: Mapping[str, int]) -> float:
+    """Unsupported output tokens as a sum of per-token positive excesses."""
+    s_total = sum(s_bag.values())
+    if s_total == 0:
+        return 0.0
+    extra = sum(max(0, n - g_bag.get(t, 0)) for t, n in s_bag.items())
+    return extra / s_total
+
+
+def bag_similarity_by_sums(a: Mapping[str, int], b: Mapping[str, int]) -> float:
+    """Dice overlap with the common count summed over per-token minima."""
+    denom = sum(a.values()) + sum(b.values())
+    if denom == 0:
+        return 1.0
+    common = sum(min(n, b.get(t, 0)) for t, n in a.items())
+    return 2.0 * common / denom
 
 
 def _axis_score_per_shift(

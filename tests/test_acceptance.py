@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     rand_grid_table,
     rand_page_pair,
+    table_bags,
     to_coord_cells,
     to_html,
     to_rowcol_cells,
@@ -253,7 +254,7 @@ def test_criterion_7_detection_oracle():
             else:
                 preds.append(rand_grid_table(rng, 3, 3))
         tau, beta = 0.4, rng.choice([0.5, 1.0, 2.0])
-        result = match_tables(preds, gts, tau=tau, beta=beta)
+        result = match_tables(table_bags(preds), table_bags(gts), tau=tau, beta=beta)
         sims = [[table_similarity(p, g) for g in gts] for p in preds]
         want_total, want_count = best_assignment(sims, tau)
         assert result.true_positives == want_count
@@ -342,11 +343,11 @@ def test_criterion_10_global_sweep():
         pred_prep = _prepare_page(pair.pred, cfg, cmap, [], "pred").page
         gt_bag = content_tokens(gt_prep, cfg.tokenizer)
         pred_bag = content_tokens(pred_prep, cfg.tokenizer)
-        kept = sum(min(n, pred_bag.counts.get(t, 0)) for t, n in gt_bag.counts.items())
-        missed = sum(max(0, n - pred_bag.counts.get(t, 0)) for t, n in gt_bag.counts.items())
-        assert kept + missed == gt_bag.total
-        if gt_bag.total:
-            assert f.tokens_found == pytest.approx(kept / gt_bag.total, abs=1e-12)
+        kept = sum(min(n, pred_bag.get(t, 0)) for t, n in gt_bag.items())
+        missed = sum(max(0, n - pred_bag.get(t, 0)) for t, n in gt_bag.items())
+        assert kept + missed == gt_bag.total()
+        if gt_bag.total():
+            assert f.tokens_found == pytest.approx(kept / gt_bag.total(), abs=1e-12)
 
     # byte-identical reports regardless of parallelism
     subset = pairs[:120]

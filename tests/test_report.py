@@ -83,6 +83,31 @@ class TestEvaluatePage:
         assert set(as_pred_gt) == {(p, g) for p in pred_texts for g in gt_texts}
         assert len(as_pred_gt) == len(set(as_pred_gt))
 
+    def test_each_element_is_tokenized_once(self, monkeypatch):
+        # table detection reads the token bags of the prepared pages
+        from score_eval import textmetrics
+
+        original = textmetrics.tokenize
+        calls = []
+
+        def counting_tokenize(text, cfg=textmetrics.DEFAULT_TOKENIZER):
+            calls.append(text)
+            return original(text, cfg)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("score_eval") and getattr(module, "tokenize", None) is original:
+                monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        gt_items = PERFECT_ITEMS + [{"type": "Table", "text": [
+            {"x": 0, "y": 0, "w": 1, "h": 1, "content": "Q3"},
+            {"x": 1, "y": 0, "w": 1, "h": 1, "content": "$300K"},
+        ]}]
+        pred_items = PERFECT_ITEMS + [
+            {"type": "Table", "text": "<table><tr><td>Q3</td><td>$300K</td></tr></table>"}
+        ]
+        report = evaluate_page(simple_pair(gt_items, pred_items))
+        assert report.table.detection.true_positives == 2
+        assert len(calls) == len(gt_items) + len(pred_items)
+
     def test_prediction_without_tables(self):
         pred_items = [item for item in PERFECT_ITEMS if item["type"] != "Table"]
         report = evaluate_page(simple_pair(PERFECT_ITEMS, pred_items))
@@ -162,6 +187,13 @@ class TestRunConfig:
             {"sim_threshold": 2.0},
             {"diff_epsilon": -0.1},
             {"jobs": 0},
+            {"det_tau": float("nan")},
+            {"det_beta": float("nan")},
+            {"det_beta": float("inf")},
+            {"sim_threshold": float("nan")},
+            {"index_gate": float("inf")},
+            {"diff_epsilon": float("nan")},
+            {"diff_epsilon": float("inf")},
             {"formats": ("yaml",)},
         ],
     )
@@ -370,6 +402,13 @@ class TestCli:
         config.write_text("det_tau = 7.0\n", encoding="utf-8")
         code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
                      "--config", str(config)])
+        assert code == 1
+
+    def test_non_finite_beta_exits_one(self, tmp_path):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     "--beta", "nan", "--format", "json"])
         assert code == 1
 
     def test_unknown_config_key_exits_one(self, tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import rand_grid_table, rand_span_rows, span_rows_html, translate_table
+from conftest import rand_grid_table, rand_span_rows, span_rows_html, table_bags, translate_table
 from oracles import (
     best_assignment,
     cell_alignment_per_shift,
@@ -77,19 +77,19 @@ class TestTableSimilarity:
 
 class TestMatchTables:
     def test_elementwise_equal(self):
-        result = match_tables([QUARTERS, grid(["a"])], [QUARTERS, grid(["a"])])
+        result = match_tables(table_bags([QUARTERS, grid(["a"])]), table_bags([QUARTERS, grid(["a"])]))
         assert result.precision == result.recall == result.f_beta == 1.0
         assert result.true_positives == 2
 
     def test_one_of_two_matched(self):
         preds = [QUARTERS]
         gts = [QUARTERS, grid(["unrelated", "words"])]
-        result = match_tables(preds, gts)
+        result = match_tables(table_bags(preds), table_bags(gts))
         assert (result.precision, result.recall) == (1.0, 0.5)
         assert result.f_beta == pytest.approx(2 / 3)
 
     def test_no_predictions(self):
-        result = match_tables([], [grid(["a"]), grid(["b"])])
+        result = match_tables([], table_bags([grid(["a"]), grid(["b"])]))
         assert result.precision == 1.0 and result.recall == 0.0
         assert result.f_beta == 0.0
         assert result.false_negatives == 2
@@ -103,13 +103,16 @@ class TestMatchTables:
             match_tables([], [], tau=0.0)
         with pytest.raises(InvalidThreshold):
             match_tables([], [], beta=0.0)
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(InvalidThreshold):
+                match_tables([], [], beta=beta)
 
     def test_count_bookkeeping(self):
         rng = random.Random(37)
         for _ in range(100):
             preds = [rand_grid_table(rng, 2, 2) for _ in range(rng.randint(0, 3))]
             gts = [rand_grid_table(rng, 2, 2) for _ in range(rng.randint(0, 3))]
-            result = match_tables(preds, gts)
+            result = match_tables(table_bags(preds), table_bags(gts))
             assert result.true_positives + result.false_positives == len(preds)
             assert result.true_positives + result.false_negatives == len(gts)
             seen_p = [p for p, _, _ in result.pairs]
@@ -123,7 +126,7 @@ class TestMatchTables:
             preds = [rand_grid_table(rng, 3, 3) for _ in range(rng.randint(0, 4))]
             gts = [rand_grid_table(rng, 3, 3) for _ in range(rng.randint(0, 4))]
             tau = 0.3
-            result = match_tables(preds, gts, tau=tau)
+            result = match_tables(table_bags(preds), table_bags(gts), tau=tau)
             sims = [[table_similarity(p, g) for g in gts] for p in preds]
             want_total, want_count = best_assignment(sims, tau)
             got_total = sum(sim for _, _, sim in result.pairs)
@@ -135,7 +138,7 @@ class TestMatchTables:
             )
 
     def test_f1_is_harmonic_mean(self):
-        result = match_tables([QUARTERS], [QUARTERS, grid(["zz"])], beta=1.0)
+        result = match_tables(table_bags([QUARTERS]), table_bags([QUARTERS, grid(["zz"])]), beta=1.0)
         p, r = result.precision, result.recall
         assert result.f_beta == pytest.approx(2 * p * r / (p + r))
 
@@ -292,12 +295,31 @@ class TestContentIndexAccuracy:
         assert len(flattened) == 4
         assert pairs and len(pairs) == len(set(pairs))
 
+    def test_search_stops_at_the_table_extent(self, monkeypatch):
+        scored = []
+        shift_scores = tableeval._shift_scores
+
+        def counting_shift_scores(p, g, shifts, index_gate):
+            shifts = list(shifts)
+            scored.extend(shifts)
+            return shift_scores(p, g, shifts, index_gate)
+
+        monkeypatch.setattr(tableeval, "_shift_scores", counting_shift_scores)
+        pred = grid(["a", "b", "c"], ["d", "e", "f"])
+        gt = translate_table(grid(["a", "b"], ["d", "x"], ["g", "h"]), 1, 0)
+        acc = content_index_accuracy(pred, gt, 10**6)
+        # GT rows 0-3 against prediction rows 0-1: d_row in -4..2; columns -2..3
+        assert len(scored) == len(set(scored)) == 7 * 6
+        assert acc == content_index_accuracy_per_shift(pred, gt, 6)
+        assert acc.best_shift == (-1, 0)
+
     def test_matches_per_shift_oracle(self):
         rng = random.Random(61)
         cases = moved = 0
         while cases < 10_000:
             p, g = rand_shift_pair(rng)
-            for n in range(4):
+            # tables span 1-6 rows and columns, so the last n often passes them
+            for n in (0, 1, 2, rng.randint(3, 5)):
                 for gate in (0.0, 0.5, 1.0):
                     acc = content_index_accuracy(p, g, n, gate)
                     assert acc == content_index_accuracy_per_shift(p, g, n, gate), (p, g, n, gate)

@@ -1,13 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import edit_distance_dp, edit_distance_recursive
+from oracles import (
+    bag_similarity_by_sums,
+    edit_distance_dp,
+    edit_distance_recursive,
+    tokens_added_by_sums,
+    tokens_found_by_sums,
+)
 from score_eval.errors import EmptyReference
 from score_eval.ingest import DocumentPage, Element
 from score_eval.tableeval import Cell, NormalizedTable
 from score_eval.textmetrics import (
-    TokenBag,
     TokenizerConfig,
     adjusted_ned,
     bag_similarity,
@@ -212,27 +218,27 @@ class TestCerWer:
 class TestTokenize:
     def test_worked_example_tokens(self):
         bag = tokenize("Q1 $100K Q2 $200K")
-        assert bag.total == 4
-        assert bag.counts == {"q1": 1, "$100k": 1, "q2": 1, "$200k": 1}
+        assert bag.total() == 4
+        assert bag == {"q1": 1, "$100k": 1, "q2": 1, "$200k": 1}
 
     def test_empty(self):
         bag = tokenize("")
-        assert bag.total == 0 and not bag
+        assert bag.total() == 0 and not bag
 
     def test_frequency_preserved(self):
-        assert tokenize("a a a").counts == {"a": 3}
+        assert tokenize("a a a") == {"a": 3}
 
     def test_no_case_fold(self):
         cfg = TokenizerConfig(case_fold=False)
-        assert tokenize("A a", cfg).counts == {"A": 1, "a": 1}
+        assert tokenize("A a", cfg) == {"A": 1, "a": 1}
 
     def test_strip_punct_keeps_currency(self):
         cfg = TokenizerConfig(strip_punct=True)
-        assert tokenize("hello, $100K!", cfg).counts == {"hello": 1, "$100k": 1}
+        assert tokenize("hello, $100K!", cfg) == {"hello": 1, "$100k": 1}
 
     def test_nfkc_folds_width(self):
         cfg = TokenizerConfig(unicode_normalize="NFKC")
-        assert tokenize("ｑ１", cfg).counts == {"q1": 1}
+        assert tokenize("ｑ１", cfg) == {"q1": 1}
 
 
 class TestTokenDiagnostics:
@@ -264,9 +270,9 @@ class TestTokenDiagnostics:
         for _ in range(200):
             s = tokenize(" ".join(rng.choice("abcd") for _ in range(rng.randint(0, 12))))
             g = tokenize(" ".join(rng.choice("abcd") for _ in range(rng.randint(0, 12))))
-            kept = sum(min(n, s.counts.get(t, 0)) for t, n in g.counts.items())
-            missed = sum(max(0, n - s.counts.get(t, 0)) for t, n in g.counts.items())
-            assert kept + missed == g.total
+            kept = sum(min(n, s.get(t, 0)) for t, n in g.items())
+            missed = sum(max(0, n - s.get(t, 0)) for t, n in g.items())
+            assert kept + missed == g.total()
 
     def test_order_invariance(self):
         a = tokenize("one two three two")
@@ -411,12 +417,36 @@ class TestContentTokens:
         page = DocumentPage(
             "t", [Element("Table", "<table><tr><td>Q1</td><td>$100K</td></tr></table>", table)]
         )
-        assert content_tokens(page).counts == {"q1": 1, "$100k": 1}
+        assert content_tokens(page) == {"q1": 1, "$100k": 1}
 
 
 class TestBagSimilarity:
     def test_both_empty(self):
-        assert bag_similarity(TokenBag(), TokenBag()) == 1.0
+        assert bag_similarity(Counter(), Counter()) == 1.0
 
     def test_half_overlap(self):
         assert bag_similarity(tokenize("Q1 $100K"), tokenize("Q1 $200K")) == 0.5
+
+
+class TestBagMetricsOracle:
+    # hand-built bags keep zero counts, which tokenize never produces
+    EDGES = (
+        Counter(), Counter({"a": 0}), Counter({"a": 0, "b": 0}), Counter({"a": 2, "b": 0}), Counter({"b": 1}),
+    )
+
+    @staticmethod
+    def rand_bag(rng):
+        if rng.random() < 0.5:
+            return Counter({t: rng.randint(0, 3) for t in rng.sample("abcde", rng.randint(0, 5))})
+        return tokenize(" ".join(rng.choice("abcdeF") for _ in range(rng.randint(0, 10))))
+
+    def test_matches_sum_formulas(self):
+        rng = random.Random(29)
+        pairs = [(s, g) for s in self.EDGES for g in self.EDGES]
+        pairs += [(self.rand_bag(rng), self.rand_bag(rng)) for _ in range(5000)]
+        for s, g in pairs:
+            assert tokens_found(s, g) == tokens_found_by_sums(s, g), (s, g)
+            assert tokens_added(s, g) == tokens_added_by_sums(s, g), (s, g)
+            assert bag_similarity(s, g) == bag_similarity_by_sums(s, g), (s, g)
+        # empty bags that are still truthy reach the total() == 0 guards
+        assert sum(1 for s, g in pairs if g and g.total() == 0) >= 100
