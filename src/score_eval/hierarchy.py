@@ -102,23 +102,29 @@ def match_elements(
 def match_prepared(
     gt: PreparedPage, pred: PreparedPage, pair_ned: Callable[[int, int], float], sim_threshold: float
 ) -> list[tuple[int, int, float]]:
-    """``match_elements`` on prepared pages, reading NEDs from ``pair_ned(pred, gt)``."""
+    """``match_elements`` on prepared pages, reading NEDs from ``pair_ned(pred, gt)``.
+
+    A pair's NED is read only when its length bound (``ned_upper_bound``)
+    comes first among the pairs whose ends are both still free.
+    """
     if not 0.0 <= sim_threshold <= 1.0:
         raise InvalidThreshold(f"sim_threshold must be in [0, 1], got {sim_threshold}")
-    candidates = []
+
+    def gap(i: int, j: int) -> int:  # reading-order distance, the first tie break
+        return abs(gt.page.elements[i].source_order - pred.page.elements[j].source_order)
+
+    seeds = []
     for i, g_text in enumerate(gt.texts):
         for j, p_text in enumerate(pred.texts):
-            if ned_upper_bound(g_text, p_text) < sim_threshold:
-                continue  # length gap alone rules this pair out
-            score = pair_ned(j, i)
-            if score >= sim_threshold:
-                candidates.append((score, i, j))
+            bound = ned_upper_bound(g_text, p_text)
+            if bound >= sim_threshold:  # else the length gap alone rules this pair out
+                seeds.append(((-bound, gap(i, j), i, j), 0, i, j))
 
-    def order(candidate: tuple[float, int, int]) -> tuple:  # score, then reading-order gap
-        score, i, j = candidate
-        return (-score, abs(gt.page.elements[i].source_order - pred.page.elements[j].source_order), i, j)
+    def exact_key(i: int, j: int) -> Optional[tuple]:
+        score = pair_ned(j, i)
+        return (-score, gap(i, j), i, j) if score >= sim_threshold else None
 
-    return sorted((i, j, score) for score, i, j in greedy_one_to_one(candidates, order))
+    return sorted((i, j, -key[0]) for key, i, j in greedy_one_to_one(seeds, exact_key))
 
 
 @dataclass

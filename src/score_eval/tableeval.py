@@ -306,10 +306,11 @@ def content_index_accuracy(
     """
     if n < 0:
         raise InvalidThreshold(f"shift bound must be >= 0, got {n}")
-    # A delta past the tables' extent leaves no row (column) overlapping,
-    # so it scores no better than delta 0 and loses the displacement tie.
-    rows = range(-min(n, g.n_rows), min(n, p.n_rows) + 1)
-    cols = range(-min(n, g.n_cols), min(n, p.n_cols) + 1)
+    # A delta at or past the tables' extent leaves no row (column)
+    # overlapping, so it scores no better than delta 0 and loses the
+    # displacement tie.
+    rows = range(-min(n, max(g.n_rows - 1, 0)), min(n, max(p.n_rows - 1, 0)) + 1)
+    cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
     shifts = [(d_row, d_col) for d_row in rows for d_col in cols]
     content, index, shift = min(
         _shift_scores(p, g, shifts, index_gate),

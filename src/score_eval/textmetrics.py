@@ -8,6 +8,7 @@ locks.
 from __future__ import annotations
 
 import functools
+import heapq
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -101,7 +102,13 @@ def ned(s: str, g: str) -> float:
 
 
 def ned_upper_bound(s: str, g: str) -> float:
-    """Cheap bound: ned can never exceed this (edit distance >= length gap)."""
+    """Cheap bound: ned can never exceed this (edit distance >= length gap).
+
+    The bound holds exactly in floating point, not just up to rounding:
+    IEEE division and subtraction are monotone, so a larger distance over
+    the same length never gives a larger ``ned``.  The lazy greedy passes
+    rely on that.
+    """
     longest = max(len(s), len(g))
     if longest == 0:
         return 1.0
@@ -270,16 +277,39 @@ def element_neds(pred: PreparedPage, gt: PreparedPage) -> Callable[[int, int], f
     return functools.cache(lambda i, j: ned(pred.texts[i], gt.texts[j]))
 
 
-def greedy_one_to_one(candidates: Iterable[tuple[float, int, int]], order: Callable) -> list[tuple[float, int, int]]:
-    """Accept (score, a, b) candidates in ``order`` while neither a nor b is taken."""
+def greedy_one_to_one(
+    seeds: Iterable[tuple[tuple, int, int, int]],
+    exact_key: Callable[[int, int], Optional[tuple]],
+) -> list[tuple[tuple, int, int]]:
+    """Accept pairs (a, b) lowest exact key first while neither a nor b is taken.
+
+    ``seeds`` are heap entries ``(key, is_exact, a, b)``.  An exact entry
+    (``is_exact`` = 1) is a candidate with its final key.  A bound entry
+    (``is_exact`` = 0) carries a key no greater than its pair's exact key,
+    which ``exact_key(a, b)`` computes only when the bound reaches the top
+    of the heap and both ends are still free; ``None`` means the pair is
+    no candidate.  Every unresolved pair then sits at or above the top of
+    the heap, so exact keys pop in the order a full sort would give them
+    (lazy greedy: Minoux 1978).  Keys must be distinct across pairs.
+    Returns the accepted ``(key, a, b)`` in acceptance order.
+    """
+    heap = list(seeds)
+    heapq.heapify(heap)
     taken_a: set[int] = set()
     taken_b: set[int] = set()
     accepted = []
-    for score, a, b in sorted(candidates, key=order):
-        if a not in taken_a and b not in taken_b:
+    while heap:
+        key, is_exact, a, b = heapq.heappop(heap)
+        if a in taken_a or b in taken_b:
+            continue
+        if is_exact:
             taken_a.add(a)
             taken_b.add(b)
-            accepted.append((score, a, b))
+            accepted.append((key, a, b))
+        else:
+            key = exact_key(a, b)
+            if key is not None:
+                heapq.heappush(heap, (key, 1, a, b))
     return accepted
 
 
@@ -295,23 +325,27 @@ def _alignment_similarity(pred: PreparedPage, gt: PreparedPage, pair_ned: Callab
     if total_weight == 0:
         return 0.0
 
-    candidates = []
+    # keys (-similarity, GT index, pred index): highest similarity first,
+    # ties toward the lower GT index
+    seeds = []
     for i, kind in enumerate(pred.kinds):
         for j, gt_kind in enumerate(gt.kinds):
             if kind == "table":
                 if pred.page.elements[i].table is None or gt.page.elements[j].table is None:
                     continue
                 sim = bag_similarity(pred.bags[i], gt.bags[j])
+                if sim > 0.0:
+                    seeds.append(((-sim, j, i), 1, i, j))
             elif kind == "figure" and gt_kind != "figure":
                 continue
             else:
-                sim = pair_ned(i, j)
-            if sim > 0.0:
-                candidates.append((sim, i, j))
-    # highest similarity first, ties toward the lower GT index
-    accepted = greedy_one_to_one(candidates, lambda c: (-c[0], c[2], c[1]))
+                seeds.append(((-ned_upper_bound(pred.texts[i], gt.texts[j]), j, i), 0, i, j))
 
-    assigned = {i: sim for sim, i, _ in accepted}
+    def exact_key(i: int, j: int) -> Optional[tuple]:
+        sim = pair_ned(i, j)
+        return (-sim, j, i) if sim > 0.0 else None
+
+    assigned = {i: -key[0] for key, i, _ in greedy_one_to_one(seeds, exact_key)}
     weighted = sum(weights[i] * assigned.get(i, 0.0) for i in range(len(weights)))
     return min(1.0, weighted / total_weight)
 

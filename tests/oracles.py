@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from score_eval.tableeval import (
     CellAccuracy,
@@ -195,6 +195,19 @@ def bag_similarity_by_sums(a: Mapping[str, int], b: Mapping[str, int]) -> float:
         return 1.0
     common = sum(min(n, b.get(t, 0)) for t, n in a.items())
     return 2.0 * common / denom
+
+
+def greedy_one_to_one_eager(candidates: Iterable[tuple[float, int, int]], order: Callable) -> list[tuple[float, int, int]]:
+    """Accept (score, a, b) candidates in ``order`` while neither a nor b is taken."""
+    taken_a: set[int] = set()
+    taken_b: set[int] = set()
+    accepted = []
+    for score, a, b in sorted(candidates, key=order):
+        if a not in taken_a and b not in taken_b:
+            taken_a.add(a)
+            taken_b.add(b)
+            accepted.append((score, a, b))
+    return accepted
 
 
 def _axis_score_per_shift(

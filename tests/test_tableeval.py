@@ -308,8 +308,8 @@ class TestContentIndexAccuracy:
         pred = grid(["a", "b", "c"], ["d", "e", "f"])
         gt = translate_table(grid(["a", "b"], ["d", "x"], ["g", "h"]), 1, 0)
         acc = content_index_accuracy(pred, gt, 10**6)
-        # GT rows 0-3 against prediction rows 0-1: d_row in -4..2; columns -2..3
-        assert len(scored) == len(set(scored)) == 7 * 6
+        # GT rows 0-3 overlap prediction rows 0-1 for d_row in -3..1; columns -1..2
+        assert len(scored) == len(set(scored)) == 5 * 4
         assert acc == content_index_accuracy_per_shift(pred, gt, 6)
         assert acc.best_shift == (-1, 0)
 

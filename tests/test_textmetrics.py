@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ from oracles import (
     bag_similarity_by_sums,
     edit_distance_dp,
     edit_distance_recursive,
+    greedy_one_to_one_eager,
     tokens_added_by_sums,
     tokens_found_by_sums,
 )
@@ -22,6 +24,7 @@ from score_eval.textmetrics import (
     greedy_one_to_one,
     levenshtein,
     ned,
+    ned_upper_bound,
     page_text,
     tokenize,
     tokens_added,
@@ -189,6 +192,23 @@ class TestNed:
             v = ned(a, b)
             assert 0.0 <= v <= 1.0
             assert v == ned(b, a)
+
+    def test_upper_bound_holds_exactly(self):
+        # the lazy greedy passes need ned <= bound with no rounding slack
+        rng = random.Random(17)
+        for alphabet in ("ab", "äöü€", "日本語🙂"):
+            for _ in range(700):
+                a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 300)))
+                if rng.random() < 0.5:
+                    # insertions only: the distance equals the length gap
+                    b = list(a)
+                    for _ in range(rng.randint(0, 300 - len(a))):
+                        b.insert(rng.randint(0, len(b)), rng.choice(alphabet))
+                    b = "".join(b)
+                else:
+                    b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 300)))
+                for s, g in ((a, b), (b, a)):
+                    assert ned(s, g) <= ned_upper_bound(s, g), (s, g)
 
 
 class TestCerWer:
@@ -407,9 +427,60 @@ class TestAdjustedNed:
                 for j in range(n_gt)
                 if rng.random() < 0.6
             ]
-            by_gt = greedy_one_to_one(candidates, lambda c: (-c[0], c[2], c[1]))
-            by_pred = greedy_one_to_one(candidates, lambda c: (-c[0], c[1], c[2]))
+            by_gt = greedy_one_to_one_eager(candidates, lambda c: (-c[0], c[2], c[1]))
+            by_pred = greedy_one_to_one_eager(candidates, lambda c: (-c[0], c[1], c[2]))
             assert set(by_gt) == set(by_pred)
+
+
+class TestLazyGreedy:
+    CUT = 0.5
+    LEVELS = (0.0, 0.25, math.nextafter(CUT, 0.0), CUT, 0.75, 1.0)
+
+    @pytest.mark.parametrize("alignment", [True, False])
+    def test_matches_eager_oracle(self, alignment):
+        # The alignment's pairs are (pred, GT), keyed (-sim, GT, pred), and
+        # sim 0 is no candidate; the matching's are (GT, pred), keyed
+        # (-score, reading-order gap, GT, pred), and a score under the cut is
+        # no candidate.  Values come from a few levels, so keys and bounds
+        # tie across pairs, and half the bounds equal their exact value.
+        rng = random.Random(97 if alignment else 98)
+        for _ in range(5000):
+            n_a, n_b = rng.randint(1, 5), rng.randint(1, 5)
+            pairs = {}  # (a, b) -> (exact value, bound, reading-order gap)
+            for a in range(n_a):
+                for b in range(n_b):
+                    if rng.random() < 0.25:
+                        continue  # no edge, as a figure against a paragraph
+                    exact = rng.choice(self.LEVELS)
+                    bound = exact if rng.random() < 0.5 else rng.choice([v for v in self.LEVELS if v >= exact])
+                    pairs[a, b] = (exact, bound, rng.randint(0, 2))
+
+            def key(v, a, b):
+                return (-v, b, a) if alignment else (-v, pairs[a, b][2], a, b)
+
+            def is_candidate(v):
+                return v > 0.0 if alignment else v >= self.CUT
+
+            candidates = [(v, a, b) for (a, b), (v, _, _) in pairs.items() if is_candidate(v)]
+            eager = greedy_one_to_one_eager(candidates, lambda c: key(*c))
+
+            seeds = []
+            for (a, b), (exact, bound, _) in pairs.items():
+                if alignment and is_candidate(exact) and rng.random() < 0.2:
+                    seeds.append((key(exact, a, b), 1, a, b))  # exact from the start, as a table pair
+                elif alignment or bound >= self.CUT:
+                    seeds.append((key(bound, a, b), 0, a, b))
+            computed = []
+
+            def exact_key(a, b):
+                computed.append((a, b))
+                exact = pairs[a, b][0]
+                return key(exact, a, b) if is_candidate(exact) else None
+
+            lazy = greedy_one_to_one(seeds, exact_key)
+            assert [(-k[0], a, b) for k, a, b in lazy] == eager, (pairs, seeds)
+            assert len(computed) == len(set(computed))
+
 
 class TestContentTokens:
     def test_table_markup_is_not_content(self):
