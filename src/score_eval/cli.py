@@ -94,11 +94,17 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         diff_epsilon=pick(args.diff_epsilon, "diff_epsilon", base.diff_epsilon),
         category_map_path=pick(args.category_map, "category_map", base.category_map_path),
         formats=tuple(part.strip() for part in formats.split(",") if part.strip()),
-        jobs=pick(args.jobs, "jobs", base.jobs),
     )
     cfg.validate()
+    jobs = pick(args.jobs, "jobs", 1)
+    if jobs < 1:
+        raise _ConfigError(f"jobs must be >= 1, got {jobs}")
     if cfg.category_map_path and not Path(cfg.category_map_path).is_file():
         raise _ConfigError(f"category map not found: {cfg.category_map_path}")
+    if args.out:
+        out = Path(args.out)
+        if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+            raise _ConfigError(f"--out is not a directory: {out}")
     return cfg
 
 
@@ -118,12 +124,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--diff-epsilon", dest="diff_epsilon", type=float,
                         help="min adjusted-raw gap for a diff page")
     parser.add_argument("--category-map", dest="category_map", help="label mapping file")
-    parser.add_argument("--jobs", type=int, help="parallel page evaluations")
+    parser.add_argument("--jobs", type=int,
+                        help="accepted for compatibility; pages are evaluated one after another")
     args = parser.parse_args(argv)
 
     try:
         cfg = _build_config(args)
-    except (_ConfigError, ScoreEvalError, ValueError) as exc:
+        cmap = cfg.category_map()
+    except (_ConfigError, ScoreEvalError, ValueError, OSError) as exc:
         print(f"score-eval: configuration error: {exc}", file=sys.stderr)
         return 1
 
@@ -141,12 +149,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     for note in notices:
         print(f"score-eval: notice: {note}", file=sys.stderr)
-
-    try:
-        cmap = cfg.category_map()
-    except ScoreEvalError as exc:
-        print(f"score-eval: configuration error: {exc}", file=sys.stderr)
-        return 1
 
     reports = evaluate_pairs(pairs, cfg, cmap)
     agg = aggregate(reports, cfg, notices)

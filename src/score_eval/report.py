@@ -7,7 +7,6 @@ import dataclasses
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -53,7 +52,6 @@ class RunConfig:
     diff_epsilon: float = 0.01
     category_map_path: Optional[str] = None
     formats: tuple[str, ...] = ("json", "csv", "markdown")
-    jobs: int = 1
 
     def validate(self) -> None:
         for name in ("det_tau", "det_beta", "sim_threshold", "index_gate", "diff_epsilon"):
@@ -72,8 +70,6 @@ class RunConfig:
             raise MalformedInput(f"index_gate must be in [0, 1], got {self.index_gate}")
         if self.diff_epsilon < 0.0:
             raise MalformedInput(f"diff_epsilon must be >= 0, got {self.diff_epsilon}")
-        if self.jobs < 1:
-            raise MalformedInput(f"jobs must be >= 1, got {self.jobs}")
         if self.tokenizer.unicode_normalize not in _UNICODE_FORMS:
             raise MalformedInput(f"unicode_normalize must be one of {_UNICODE_FORMS}")
         unknown = set(self.formats) - {"json", "csv", "markdown"}
@@ -86,19 +82,7 @@ class RunConfig:
         return CategoryMap.default()
 
     def to_dict(self) -> dict:
-        # jobs is deliberately omitted: parallelism cannot change any
-        # number, and reports must be byte-identical across --jobs.
-        return {
-            "tokenizer": dataclasses.asdict(self.tokenizer),
-            "shift_n": self.shift_n,
-            "det_tau": self.det_tau,
-            "det_beta": self.det_beta,
-            "sim_threshold": self.sim_threshold,
-            "index_gate": self.index_gate,
-            "diff_epsilon": self.diff_epsilon,
-            "category_map_path": self.category_map_path,
-            "formats": list(self.formats),
-        }
+        return {**dataclasses.asdict(self), "formats": list(self.formats)}
 
 
 @dataclass(frozen=True)
@@ -286,13 +270,9 @@ def evaluate_pairs(
     cfg: RunConfig = RunConfig(),
     cmap: Optional[CategoryMap] = None,
 ) -> list[PageReport]:
-    """Evaluate pages, optionally in parallel; output order is by page id."""
+    """Evaluate pages one after another; output order is by page id."""
     cmap = cmap if cmap is not None else cfg.category_map()
-    ordered = sorted(pairs, key=lambda p: p.page_id)
-    if cfg.jobs == 1 or len(ordered) <= 1:
-        return [evaluate_page(pair, cfg, cmap) for pair in ordered]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(lambda pair: evaluate_page(pair, cfg, cmap), ordered))
+    return [evaluate_page(pair, cfg, cmap) for pair in sorted(pairs, key=lambda p: p.page_id)]
 
 
 _MEAN_FIELDS = (

@@ -195,6 +195,16 @@ def rand_page_pair(rng: random.Random, page_id: str) -> PagePair:
     return PagePair(page_id=page_id, gt=gt, pred=pred)
 
 
+def write_rand_dataset(rng: random.Random, root: Path, pages: int) -> None:
+    """Write ``pages`` random GT files and their perturbed predictions under root/gt and root/pred."""
+    for side in ("gt", "pred"):
+        (root / side).mkdir()
+    for i in range(pages):
+        gt_items = rand_page_items(rng)
+        for side, items in (("gt", gt_items), ("pred", perturb_items(rng, gt_items))):
+            (root / side / f"page{i:04d}.json").write_text(json.dumps(items), encoding="utf-8")
+
+
 @pytest.fixture
 def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"

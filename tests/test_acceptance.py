@@ -20,8 +20,10 @@ from conftest import (
     to_html,
     to_rowcol_cells,
     translate_table,
+    write_rand_dataset,
 )
 from oracles import best_assignment, edit_distance_recursive, f_measure, tree_distance_by_mappings
+from score_eval.cli import main
 from score_eval.hierarchy import NOMATCH, CategoryMap, build_confusion, match_elements
 from score_eval.ingest import (
     CoordCell,
@@ -33,14 +35,7 @@ from score_eval.ingest import (
     parse_table_html,
     parse_table_rowcol,
 )
-from score_eval.report import (
-    RunConfig,
-    _prepare_page,
-    aggregate,
-    evaluate_page,
-    evaluate_pairs,
-    render,
-)
+from score_eval.report import RunConfig, _prepare_page, evaluate_page
 from score_eval.tableeval import (
     NormalizedTable,
     TableTree,
@@ -316,7 +311,7 @@ def test_criterion_9_format_invariance():
 
 
 @criterion(10, "global invariant sweep over 1,000 random page pairs")
-def test_criterion_10_global_sweep():
+def test_criterion_10_global_sweep(tmp_path):
     start = time.perf_counter()
     rng = random.Random(20240506)
     pairs = [rand_page_pair(rng, f"page{i:04d}") for i in range(1000)]
@@ -349,13 +344,15 @@ def test_criterion_10_global_sweep():
         if gt_bag.total():
             assert f.tokens_found == pytest.approx(kept / gt_bag.total(), abs=1e-12)
 
-    # byte-identical reports regardless of parallelism
-    subset = pairs[:120]
+    # byte-identical reports whatever --jobs says, on a dataset written to disk
+    write_rand_dataset(random.Random(20240507), tmp_path, 120)
     blobs = []
-    for jobs in (1, 2, 4):
-        jcfg = RunConfig(jobs=jobs)
-        jreports = evaluate_pairs(subset, jcfg, cmap)
-        blobs.append(render(aggregate(jreports, jcfg), jreports, "json"))
+    for jobs in ("1", "2", "4"):
+        out = tmp_path / f"out{jobs}"
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     "--out", str(out), "--jobs", jobs])
+        assert code == 0
+        blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
     elapsed = time.perf_counter() - start

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rand_page_pair
+from conftest import rand_page_pair, write_rand_dataset
 from score_eval.cli import main
 from score_eval.errors import EmptyDataset
 from score_eval.ingest import PagePair, parse_document
@@ -188,7 +188,7 @@ class TestRunConfig:
             {"det_beta": -1.0},
             {"sim_threshold": 2.0},
             {"diff_epsilon": -0.1},
-            {"jobs": 0},
+            {"index_gate": 1.5},
             {"det_tau": float("nan")},
             {"det_beta": float("nan")},
             {"det_beta": float("inf")},
@@ -307,16 +307,6 @@ class TestRender:
         # a second render is byte-identical
         assert render(agg, reports, "json") == blob
 
-    def test_jobs_do_not_change_bytes(self):
-        rng = random.Random(103)
-        pairs = [rand_page_pair(rng, f"p{i:03d}") for i in range(12)]
-        runs = []
-        for jobs in (1, 4):
-            cfg = RunConfig(jobs=jobs)
-            reports = evaluate_pairs(pairs, cfg)
-            runs.append(render(aggregate(reports, cfg), reports, "json"))
-        assert runs[0] == runs[1]
-
     def test_write_reports_creates_files(self, run, tmp_path):
         agg, reports = run
         paths = write_reports(agg, reports, tmp_path / "out")
@@ -387,7 +377,7 @@ class TestCli:
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
         config = tmp_path / "run.cfg"
-        config.write_text("det_tau = 0.7\nshift_n = 1\n", encoding="utf-8")
+        config.write_text("det_tau = 0.7\nshift_n = 1\njobs = 2\n", encoding="utf-8")
         out = tmp_path / "out"
         code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
                      "--config", str(config), "--tau", "0.9", "--out", str(out)])
@@ -449,6 +439,58 @@ class TestCli:
         assert [page["page_id"] for page in report["pages"]] == ["a"]
         assert report["pages"][0]["fidelity"]["adjusted_ned"] == 1.0
 
+    def test_jobs_do_not_change_bytes(self, tmp_path):
+        write_rand_dataset(random.Random(103), tmp_path, 12)
+        blobs = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"out{jobs}"
+            code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                         "--out", str(out), "--jobs", jobs])
+            assert code == 0
+            blobs.append((out / "report.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys, source):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        config = tmp_path / "run.cfg"
+        config.write_text("jobs = 0\n", encoding="utf-8")
+        extra = ["--jobs", "0"] if source == "flag" else ["--config", str(config)]
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"), *extra])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "score-eval: configuration error: jobs must be >= 1, got 0"
+        ]
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--config", "absent.cfg"),
+            ("--config", "gt"),
+            ("--category-map", "latin1_map.txt"),
+            ("--out", "taken"),
+            ("--out", "taken/reports"),
+        ],
+        ids=["missing-config", "config-is-a-directory", "non-utf8-category-map",
+             "out-is-a-file", "out-under-a-file"],
+    )
+    def test_unusable_file_is_a_configuration_error(self, tmp_path, capsys, monkeypatch, flag, name):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        (tmp_path / "latin1_map.txt").write_bytes("caf\xe9 = TEXT\n".encode("latin-1"))
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+
+        def no_evaluation(*args):
+            raise AssertionError("evaluation ran before the configuration was checked")
+
+        monkeypatch.setattr("score_eval.cli.evaluate_pairs", no_evaluation)
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     flag, str(tmp_path / name)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("score-eval: configuration error: ")
+
     def test_custom_category_map(self, tmp_path):
         gt_items = [{"type": "blurb", "text": "hello world"}]
         write_dataset(tmp_path, {"a": gt_items}, "gt")
@@ -480,7 +522,9 @@ gt, pred = (
 )
 report = evaluate_page(PagePair("wikimedia", gt, pred))
 print(report.table.detection.true_positives)
-print(sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy")))
+print(sorted(
+    name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy", "concurrent")
+))
 """
 
 
