@@ -14,11 +14,10 @@ from typing import Optional, Sequence
 
 from .errors import EmptyDataset, ScoreEvalError
 from .ingest import pair_pages
-from .report import RunConfig, aggregate, evaluate_pairs, render, write_reports
+from .report import FLOAT_FIELDS, RunConfig, aggregate, evaluate_pairs, render, write_reports
 from .textmetrics import TokenizerConfig
 
 _BOOL_KEYS = {"case_fold", "strip_punct"}
-_FLOAT_KEYS = {"det_tau", "det_beta", "sim_threshold", "index_gate", "diff_epsilon"}
 _INT_KEYS = {"shift_n", "jobs"}
 _STR_KEYS = {"unicode_normalize", "category_map", "formats"}
 
@@ -56,7 +55,7 @@ def _load_config_file(path: Path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key in _BOOL_KEYS:
             values[key] = _parse_bool(raw)
-        elif key in _FLOAT_KEYS:
+        elif key in FLOAT_FIELDS:
             values[key] = float(raw)
         elif key in _INT_KEYS:
             values[key] = int(raw)

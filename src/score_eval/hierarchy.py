@@ -9,14 +9,24 @@ spurious predictions stay visible.
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import InvalidThreshold, MalformedInput
-from .ingest import DocumentPage
-from .textmetrics import PreparedPage, element_neds, greedy_one_to_one, ned_upper_bound
+from .errors import InvalidThreshold, MalformedInput, ScoreEvalError
+from .ingest import DocumentPage, Element, parse_table_html
+from .textmetrics import (
+    DEFAULT_TOKENIZER,
+    TokenizerConfig,
+    content_text,
+    element_neds,
+    greedy_one_to_one,
+    ned_upper_bound,
+    tokenize,
+)
 
 CATEGORIES = (
     "TITLE",
@@ -84,6 +94,54 @@ class CategoryMap:
         return cls.from_text(text)
 
 
+class PreparedPage:
+    """A page as every element metric reads it, prepared once.
+
+    ``page`` is the input page with the markup payload of each
+    TABLE-category element parsed into cells; the element's text is left
+    untouched, as it is the system's own serialization and feeds the raw
+    edit distance.  ``texts``, ``bags`` and ``kinds`` hold, per element,
+    its content text, that text's token bag and its ``cmap.kind``.
+    ``notices`` explains each element whose payload disagrees with its
+    category.  ``cmap`` defaults to ``CategoryMap.default()``.
+    """
+
+    def __init__(
+        self,
+        page: DocumentPage,
+        tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
+        cmap: Optional[CategoryMap] = None,
+    ) -> None:
+        cmap = cmap if cmap is not None else CategoryMap.default()
+        self.notices: list[str] = []
+        elements = [self._parse_payload(e, cmap) for e in page.elements]
+        self.page = DocumentPage(page_id=page.page_id, elements=elements)
+        self.texts = tuple(content_text(e) for e in elements)
+        self.bags = tuple(tokenize(t, tokenizer) for t in self.texts)
+        self.kinds = tuple(cmap.kind(e) for e in elements)
+
+    def _parse_payload(self, element: Element, cmap: CategoryMap) -> Element:
+        is_table_category = cmap.category(element.raw_label) == "TABLE"
+        if element.table is None and is_table_category:
+            if "<" not in element.text:
+                self.notices.append(f"element {element.source_order}: table element without table payload")
+                return element
+            try:
+                return dataclasses.replace(element, table=parse_table_html(element.text))
+            except ScoreEvalError as exc:
+                self.notices.append(f"element {element.source_order}: table markup not parsed ({exc})")
+        elif element.table is not None and not is_table_category:
+            self.notices.append(f"element {element.source_order}: non-table element carries a table payload")
+        return element
+
+    def token_bag(self) -> Counter[str]:
+        """Token bag over the whole page's content."""
+        merged: Counter[str] = Counter()
+        for bag in self.bags:
+            merged.update(bag)
+        return merged
+
+
 def match_elements(
     gt: DocumentPage,
     pred: DocumentPage,
@@ -94,6 +152,8 @@ def match_elements(
     Pairs are accepted highest score first, ties broken by reading-order
     proximity and then by the lower GT index; only pairs at or above the
     threshold survive.  Returns (gt index, pred index, score) triples.
+    Pages are prepared as ``evaluate_page`` prepares them, with the
+    default category map.
     """
     gt_prep, pred_prep = PreparedPage(gt), PreparedPage(pred)
     return match_prepared(gt_prep, pred_prep, element_neds(pred_prep, gt_prep), sim_threshold)

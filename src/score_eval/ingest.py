@@ -4,8 +4,7 @@ One input schema covers both sides: a UTF-8 JSON list of elements, each
 with a "type" and a "text".  A table's text may be a list of coordinate
 cells (human annotation style), a list of row/col cells, or an HTML
 string (typical model output); all three normalize to the same cell
-tuples.  Parsers are pure functions of their input bytes and safe to
-call concurrently.
+tuples.  Parsers are pure functions of their input bytes.
 """
 
 from __future__ import annotations
@@ -103,6 +102,8 @@ def parse_table_rowcol(data: Union[bytes, str, list]) -> NormalizedTable:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"invalid table JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MalformedInput("table JSON nests too deeply") from exc
     if not isinstance(data, list):
         raise MalformedInput("row/col table payload must be a list of cell objects")
     cells = []
@@ -340,6 +341,8 @@ def parse_document(
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInput("JSON nests too deeply") from exc
     if not isinstance(doc, list):
         raise MalformedInput("top level must be a list of element objects")
 

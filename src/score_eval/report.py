@@ -11,9 +11,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .errors import EmptyDataset, EmptyReference, MalformedInput, ScoreEvalError
-from .hierarchy import CategoryMap, ConfusionMatrix, build_confusion, consistency_score, match_prepared
-from .ingest import DocumentPage, PagePair, parse_table_html
+from .errors import EmptyDataset, EmptyReference, MalformedInput
+from .hierarchy import (
+    CategoryMap,
+    ConfusionMatrix,
+    PreparedPage,
+    build_confusion,
+    consistency_score,
+    match_prepared,
+)
+from .ingest import PagePair
 from .tableeval import (
     DetectionResult,
     build_table_tree,
@@ -23,7 +30,6 @@ from .tableeval import (
 )
 from .textmetrics import (
     FidelityScores,
-    PreparedPage,
     TokenizerConfig,
     _alignment_similarity,
     _cer_from_distance,
@@ -37,6 +43,8 @@ from .textmetrics import (
 )
 
 _UNICODE_FORMS = ("none", "NFC", "NFKC")
+# the RunConfig fields that hold floats, each required to be finite
+FLOAT_FIELDS = ("det_tau", "det_beta", "sim_threshold", "index_gate", "diff_epsilon")
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,7 @@ class RunConfig:
     formats: tuple[str, ...] = ("json", "csv", "markdown")
 
     def validate(self) -> None:
-        for name in ("det_tau", "det_beta", "sim_threshold", "index_gate", "diff_epsilon"):
+        for name in FLOAT_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise MalformedInput(f"{name} must be finite, got {value}")
@@ -146,38 +154,6 @@ class AggregateReport:
         }
 
 
-def _prepare_page(
-    page: DocumentPage, cfg: RunConfig, cmap: CategoryMap, notices: list[str], side: str
-) -> PreparedPage:
-    """Parse markup payloads of TABLE-category elements into cell tuples, and prepare the page.
-
-    The element's text is left untouched: it is the system's own
-    serialization and feeds the raw edit distance.
-    """
-    elements = []
-    for element in page.elements:
-        prepared = element
-        is_table_category = cmap.category(element.raw_label) == "TABLE"
-        if element.table is None and is_table_category:
-            if "<" in element.text:
-                try:
-                    prepared = dataclasses.replace(element, table=parse_table_html(element.text))
-                except ScoreEvalError as exc:
-                    notices.append(
-                        f"{side} element {element.source_order}: table markup not parsed ({exc})"
-                    )
-            else:
-                notices.append(
-                    f"{side} element {element.source_order}: table element without table payload"
-                )
-        elif element.table is not None and not is_table_category:
-            notices.append(
-                f"{side} element {element.source_order}: non-table element carries a table payload"
-            )
-        elements.append(prepared)
-    return PreparedPage(DocumentPage(page_id=page.page_id, elements=elements), cfg.tokenizer, cmap.kind)
-
-
 def evaluate_page(
     pair: PagePair,
     cfg: RunConfig = RunConfig(),
@@ -185,9 +161,9 @@ def evaluate_page(
 ) -> PageReport:
     """Compute the full metric vector for one page pair."""
     cmap = cmap if cmap is not None else cfg.category_map()
-    notices: list[str] = []
-    gt = _prepare_page(pair.gt, cfg, cmap, notices, "gt")
-    pred = _prepare_page(pair.pred, cfg, cmap, notices, "pred")
+    gt = PreparedPage(pair.gt, cfg.tokenizer, cmap)
+    pred = PreparedPage(pair.pred, cfg.tokenizer, cmap)
+    notices = [f"gt {n}" for n in gt.notices] + [f"pred {n}" for n in pred.notices]
     # adjusted NED and element matching read each element NED from here
     pair_ned = element_neds(pred, gt)
 

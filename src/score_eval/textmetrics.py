@@ -1,8 +1,7 @@
 """Edit-distance core, tokenization, and token-bag diagnostics.
 
 Everything here is a pure function: the same inputs always produce the
-same floats, so page-level evaluations can run concurrently without
-locks.
+same floats.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional, Sequen
 from .errors import EmptyReference
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .hierarchy import PreparedPage
     from .ingest import DocumentPage, Element
 
 
@@ -219,55 +219,19 @@ def content_text(element: "Element") -> str:
     return element.text
 
 
+def _prepare(page: "DocumentPage", cfg: TokenizerConfig) -> "PreparedPage":
+    """The page as ``evaluate_page`` prepares it, with the default category map."""
+    from .hierarchy import PreparedPage  # imported here: hierarchy imports this module
+
+    return PreparedPage(page, cfg)
+
+
 def content_tokens(page: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> Counter[str]:
-    """Token bag over the page's content, markup excluded."""
-    return PreparedPage(page, cfg).token_bag()
+    """Token bag over the page's content; table markup counts by its cell contents."""
+    return _prepare(page, cfg).token_bag()
 
 
-def default_kind(element: "Element") -> str:
-    """Fallback element-kind routing when no category map is supplied.
-
-    It differs from ``CategoryMap.kind`` on two labels.  A ``diagram`` is
-    a paragraph here but a figure under the category map.  A ``table``
-    label without parsed cells is a paragraph here, while the category
-    map calls it a table, so it has no alignment candidate.
-    """
-    if element.table is not None:
-        return "table"
-    label = element.raw_label.strip().casefold()
-    if label in {"figure", "image", "picture", "chart", "graph"}:
-        return "figure"
-    return "paragraph"
-
-
-class PreparedPage:
-    """A page and what the element metrics read of it, computed once.
-
-    ``texts``, ``bags`` and ``kinds`` hold, per element, its content text,
-    that text's token bag and its similarity-routing kind.  Evaluation
-    builds it after table markup is parsed (``report._prepare_page``).
-    """
-
-    def __init__(
-        self,
-        page: "DocumentPage",
-        cfg: TokenizerConfig = DEFAULT_TOKENIZER,
-        kind_for: Callable[["Element"], str] = default_kind,
-    ) -> None:
-        self.page = page
-        self.texts = tuple(content_text(e) for e in page.elements)
-        self.bags = tuple(tokenize(t, cfg) for t in self.texts)
-        self.kinds = tuple(kind_for(e) for e in page.elements)
-
-    def token_bag(self) -> Counter[str]:
-        """Token bag over the whole page's content."""
-        merged: Counter[str] = Counter()
-        for bag in self.bags:
-            merged.update(bag)
-        return merged
-
-
-def element_neds(pred: PreparedPage, gt: PreparedPage) -> Callable[[int, int], float]:
+def element_neds(pred: "PreparedPage", gt: "PreparedPage") -> Callable[[int, int], float]:
     """Content-text NED of (pred index, GT index), each pair computed on first use.
 
     NED is symmetric, so every element-level metric of one page pair can
@@ -313,7 +277,7 @@ def greedy_one_to_one(
     return accepted
 
 
-def _alignment_similarity(pred: PreparedPage, gt: PreparedPage, pair_ned: Callable[[int, int], float]) -> float:
+def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", pair_ned: Callable[[int, int], float]) -> float:
     """The alignment half of ``adjusted_ned``; 0.0 when the prediction has no tokens.
 
     Tables compare via token-bag overlap of cell contents and only with
@@ -350,25 +314,16 @@ def _alignment_similarity(pred: PreparedPage, gt: PreparedPage, pair_ned: Callab
     return min(1.0, weighted / total_weight)
 
 
-def adjusted_ned(
-    pred: "DocumentPage",
-    gt: "DocumentPage",
-    cfg: TokenizerConfig = DEFAULT_TOKENIZER,
-    kind_for: Callable[["Element"], str] = default_kind,
-) -> float:
+def adjusted_ned(pred: "DocumentPage", gt: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> float:
     """Edit similarity lifted by word-weighted per-element alignment.
 
     The raw page-text similarity is a floor; on top of it, each
     prediction element greedily claims its most similar ground-truth
     element (one claim per GT element, highest similarity first, ties
     broken toward the lower GT index) and contributes its similarity
-    weighted by its token count.
-
-    ``kind_for`` routes each element to its candidates.  The default,
-    ``default_kind``, reads the raw label; evaluation passes
-    ``CategoryMap.kind``, which differs on ``diagram`` labels and on
-    ``table`` labels without parsed cells (see ``default_kind``).
+    weighted by its token count.  Pages are prepared as ``evaluate_page``
+    prepares them, with the default category map.
     """
     raw = ned(page_text(pred), page_text(gt))
-    pred_prep, gt_prep = PreparedPage(pred, cfg, kind_for), PreparedPage(gt, cfg, kind_for)
+    pred_prep, gt_prep = _prepare(pred, cfg), _prepare(gt, cfg)
     return max(raw, _alignment_similarity(pred_prep, gt_prep, element_neds(pred_prep, gt_prep)))

@@ -24,7 +24,7 @@ from conftest import (
 )
 from oracles import best_assignment, edit_distance_recursive, f_measure, tree_distance_by_mappings
 from score_eval.cli import main
-from score_eval.hierarchy import NOMATCH, CategoryMap, build_confusion, match_elements
+from score_eval.hierarchy import NOMATCH, CategoryMap, PreparedPage, build_confusion, match_elements
 from score_eval.ingest import (
     CoordCell,
     DocumentPage,
@@ -35,7 +35,7 @@ from score_eval.ingest import (
     parse_table_html,
     parse_table_rowcol,
 )
-from score_eval.report import RunConfig, _prepare_page, evaluate_page
+from score_eval.report import RunConfig, evaluate_page
 from score_eval.tableeval import (
     NormalizedTable,
     TableTree,
@@ -164,8 +164,8 @@ def test_criterion_3_reading_path_fixture():
     # content) tuples, so their token-bag overlap is 1.0 and adjusted NED,
     # max(raw, word-weighted alignment), is exactly 1.0.
     cmap = cfg.category_map()
-    [gt_elem] = _prepare_page(pair.gt, cfg, cmap, [], "gt").page.elements
-    [pred_elem] = _prepare_page(pair.pred, cfg, cmap, [], "pred").page.elements
+    [gt_elem] = PreparedPage(pair.gt, cfg.tokenizer, cmap).page.elements
+    [pred_elem] = PreparedPage(pair.pred, cfg.tokenizer, cmap).page.elements
     assert gt_elem.table is not None and gt_elem.table == pred_elem.table
     assert adjusted == 1.0
 
@@ -333,11 +333,9 @@ def test_criterion_10_global_sweep(tmp_path):
             for value in (report.table.content_acc, report.table.index_acc, report.table.teds):
                 assert value is None or 0.0 <= value <= 1.0
         # conservation: kept + missed reference tokens add up exactly,
-        # on the same prepared pages the report evaluated
-        gt_prep = _prepare_page(pair.gt, cfg, cmap, [], "gt").page
-        pred_prep = _prepare_page(pair.pred, cfg, cmap, [], "pred").page
-        gt_bag = content_tokens(gt_prep, cfg.tokenizer)
-        pred_bag = content_tokens(pred_prep, cfg.tokenizer)
+        # on pages prepared as the report prepared them
+        gt_bag = content_tokens(pair.gt, cfg.tokenizer)
+        pred_bag = content_tokens(pair.pred, cfg.tokenizer)
         kept = sum(min(n, pred_bag.get(t, 0)) for t, n in gt_bag.items())
         missed = sum(max(0, n - pred_bag.get(t, 0)) for t, n in gt_bag.items())
         assert kept + missed == gt_bag.total()

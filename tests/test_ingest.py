@@ -263,6 +263,15 @@ class TestParseTableRowcol:
         with pytest.raises(MalformedInput):
             parse_table_rowcol('[{"col": 0, "content": "x"}]')
 
+    @pytest.mark.parametrize(
+        "payload",
+        ["[" * 100_000, b"[" * 100_000, "[" * 100_000 + "]" * 100_000],
+        ids=["unclosed", "unclosed-bytes", "closed"],
+    )
+    def test_deep_nesting_is_malformed_not_a_recursion_error(self, payload):
+        with pytest.raises(MalformedInput, match="nests too deeply"):
+            parse_table_rowcol(payload)
+
 
 class TestFormatEquivalence:
     def test_three_encodings_agree(self):

@@ -439,6 +439,18 @@ class TestCli:
         assert [page["page_id"] for page in report["pages"]] == ["a"]
         assert report["pages"][0]["fidelity"]["adjusted_ned"] == 1.0
 
+    @pytest.mark.parametrize("nest", ["[" * 100_000, "[" * 100_000 + "]" * 100_000], ids=["unclosed", "closed"])
+    def test_deeply_nested_prediction_is_a_notice(self, tmp_path, capsys, nest):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS, "b": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        (tmp_path / "pred" / "b.json").write_text(nest, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"), "--out", str(out)])
+        assert code == 0
+        assert "notice: failed to parse prediction b: JSON nests too deeply" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert [page["page_id"] for page in report["pages"]] == ["a"]
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         write_rand_dataset(random.Random(103), tmp_path, 12)
         blobs = []

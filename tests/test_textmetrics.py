@@ -394,21 +394,18 @@ class TestAdjustedNed:
         assert adjusted_ned(pred, gt) == 1.0
 
     def test_figures_align_by_caption(self):
-        from score_eval.hierarchy import CategoryMap
-
-        cmap = CategoryMap.default()
         gt = make_page(
             ("Figure", "Revenue by quarter"),
             ("Text", "Some body text"),
             ("Text", "A closing paragraph long enough to keep the raw page similarity low"),
         )
         pred = make_page(("Image", "Revenue by quarter"))
-        assert adjusted_ned(pred, gt, kind_for=cmap.kind) == 1.0
+        assert adjusted_ned(pred, gt) == 1.0
         # the identical-text TEXT element is not a figure candidate; the
         # only claimable element is the (dissimilar) figure caption
         pred_only_text = make_page(("Image", "Some body text"))
         assert ned(page_text(pred_only_text), page_text(gt)) < ned("Some body text", "Revenue by quarter")
-        assert adjusted_ned(pred_only_text, gt, kind_for=cmap.kind) == ned("Some body text", "Revenue by quarter")
+        assert adjusted_ned(pred_only_text, gt) == ned("Some body text", "Revenue by quarter")
 
 
     def test_alignment_tie_order_cannot_change_the_accepted_pairs(self):
