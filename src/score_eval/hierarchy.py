@@ -10,6 +10,7 @@ spurious predictions stay visible.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -89,7 +90,9 @@ class CategoryMap:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
     @classmethod
+    @functools.cache
     def default(cls) -> "CategoryMap":
+        """The packaged map, read once per process: a map has no mutators."""
         text = resources.files("score_eval").joinpath("data/category_map.txt").read_text("utf-8")
         return cls.from_text(text)
 

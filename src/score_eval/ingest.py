@@ -10,6 +10,7 @@ tuples.  Parsers are pure functions of their input bytes.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
@@ -370,11 +371,22 @@ def parse_document(
 
 
 def _stems(directory: Path, side: str, notices: list[str]) -> dict[str, Path]:
-    """Files by stem; of files sharing a stem the last in name order is kept, with a notice."""
+    """Files by stem; of files sharing a stem the last in name order is kept, with a notice.
+
+    A file whose name is not UTF-8 is skipped with a notice naming it
+    with its bytes escaped: its stem could not be written to a report.
+    """
     by_stem: dict[str, list[Path]] = {}
     for path in sorted(directory.iterdir()):
-        if path.is_file():
-            by_stem.setdefault(path.stem, []).append(path)
+        if not path.is_file():
+            continue
+        try:
+            path.name.encode("utf-8")
+        except UnicodeEncodeError:
+            name = os.fsencode(path.name).decode("utf-8", "backslashreplace")
+            notices.append(f"skipped {side} file {name}: name is not UTF-8")
+            continue
+        by_stem.setdefault(path.stem, []).append(path)
     for stem, paths in by_stem.items():
         if len(paths) > 1:
             ignored = ", ".join(p.name for p in paths[:-1])

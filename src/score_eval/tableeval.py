@@ -13,10 +13,10 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidThreshold, OverlappingCells
-from .textmetrics import DEFAULT_TOKENIZER, TokenizerConfig, bag_similarity, ned, tokenize
+from .textmetrics import DEFAULT_TOKENIZER, TokenizerConfig, bag_similarity, ned, ned_upper_bound, tokenize
 
 # Preference for higher-cardinality matchings among equal-similarity
 # optima; small enough never to override a real similarity difference.
@@ -420,7 +420,144 @@ def tree_edit_distance(a: TableTree, b: TableTree) -> float:
     return dist[-1][-1]
 
 
+def _table_rows(tree: TableTree) -> Optional[list[list[TableTree]]]:
+    """The td lists of a table -> tr -> td tree, or None for any other shape."""
+    if tree.label != "table" or any(tr.label != "tr" for tr in tree.children):
+        return None
+    rows = [tr.children for tr in tree.children]
+    if any(td.label != "td" or td.children for row in rows for td in row):
+        return None
+    return rows
+
+
+def _align(xs: Sequence[int], ys: Sequence[int], relax: Callable[[float, float, int, int], float]) -> float:
+    """Edit distance of two cell sequences: unit indels, relabel by ``relax``.
+
+    ``relax(base, m, i, j)`` is the cell's value ``min(m, base + cost)``,
+    ``m`` being the cheaper of a deletion and an insertion.
+    """
+    prev = [float(k) for k in range(len(ys) + 1)]
+    for i in xs:
+        cur = [prev[0] + 1.0]
+        for k, j in enumerate(ys):
+            cur.append(relax(prev[k], min(prev[k + 1] + 1.0, cur[k] + 1.0), i, j))
+        prev = cur
+    return prev[-1]
+
+
+def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequence[TableTree]]) -> float:
+    """``tree_edit_distance`` of two table -> tr -> td trees, bit for bit.
+
+    Zhang-Shasha fills a forest table for every pair of keyroots; on a
+    depth-2 tree one forest table over the row forests, plus the row
+    pairs it reaches, decides the distance.  Why each value is the same
+    float Zhang-Shasha computes:
+
+    - The roots map.  Zhang-Shasha's last step is ``min(D(F, T) + 1,
+      D(S, G) + 1, D(F, G) + 0)`` with F, G the row forests and S, T the
+      whole trees, and its first two arms never go below ``D(F, G)``.
+      Take ``D(F, T)``: its arm that inserts T's root is ``D(F, G) + 1``;
+      the arm that deletes F's rightmost root follows by induction, as
+      rounding is monotone; the arm that maps F's rightmost subtree onto
+      T is at least ``D(F, G)`` in exact arithmetic, so with the + 1 it
+      clears ``D(F, G)`` by a whole unit, far beyond rounding.  The same
+      holds for the two trs of a tr-tr pair and their cells.
+    - A prefix of a row forest in postorder is a run of complete rows,
+      or complete rows followed by the first k cells of a row whose tr
+      is deleted.  At each pair of prefixes the value is the minimum of
+      deleting the rightmost root (+1), inserting it (+1), or matching
+      the two rightmost subtrees at the distance Zhang-Shasha stores for
+      them: td-td ``_substitution_cost``; tr-tr the cells' sequence
+      distance; tr-td ``min(len(row) + 1.0, fold + 1.0)``, with ``fold``
+      the row's cells against the one td, grouped as Zhang-Shasha's
+      relabel and descend arms are.  Same operands added in the same
+      order give the same floats.
+    - A match is skipped only when a lower bound on it already reaches
+      the cheaper indel, so the minimum keeps its value.  A td pair's
+      bound is ``1 - ned_upper_bound``, which never exceeds ``1 - ned``
+      in floating point.  A match with a tr is first bounded by the
+      indels every alignment makes (the rows' length difference, or the
+      row's length against a td; integers, so exact), then by the same
+      alignment run on bound costs, as min and rounded addition are
+      monotone.  A tr-td bound keeps its ``len(row) + 1.0`` arm: an
+      empty row against a td costs 1.0, below ``fold + 1.0``.
+    """
+    a_cells = [td for row in a_rows for td in row]
+    b_cells = [td for row in b_rows for td in row]
+    lower = [
+        [
+            1.0 if a.rowspan != b.rowspan or a.colspan != b.colspan
+            else 1.0 - ned_upper_bound(a.content, b.content)
+            for b in b_cells
+        ]
+        for a in a_cells
+    ]
+    exact: dict[tuple[int, int], float] = {}
+
+    def relax_bound(base: float, m: float, i: int, j: int) -> float:
+        return min(m, base + lower[i][j])
+
+    def relax(base: float, m: float, i: int, j: int) -> float:
+        if base + lower[i][j] >= m:
+            return m
+        cost = exact.get((i, j))
+        if cost is None:
+            cost = exact[i, j] = _substitution_cost(a_cells[i], b_cells[j])
+        return min(m, base + cost)
+
+    def subtree(xs: list[int], ys: list[int], x_row: bool, y_row: bool,
+                step: Callable[[float, float, int, int], float]) -> float:
+        distance = _align(xs, ys, step)
+        if x_row == y_row:
+            return distance
+        return min((len(xs) if x_row else len(ys)) + 1.0, distance + 1.0)
+
+    def match(base: float, m: float, xs: list[int], ys: list[int], x_row: bool, y_row: bool) -> float:
+        """``min(m, base + distance)`` for two subtrees of which one is a tr."""
+        floor = abs(len(xs) - len(ys)) if x_row == y_row else len(xs) if x_row else len(ys)
+        if base + floor >= m or base + subtree(xs, ys, x_row, y_row, relax_bound) >= m:
+            return m
+        return min(m, base + subtree(xs, ys, x_row, y_row, relax))
+
+    def states(rows: Sequence[Sequence[TableTree]]) -> list[tuple[list[int], bool, int]]:
+        """Per postorder node: its subtree's cells, whether it is a tr, and
+        the prefix left once that subtree is removed."""
+        out: list[tuple[list[int], bool, int]] = []
+        cell = 0
+        for row in rows:
+            start = len(out)
+            for _ in row:
+                out.append(([cell], False, len(out)))
+                cell += 1
+            out.append((list(range(cell - len(row), cell)), True, start))
+        return out
+
+    a_states, b_states = states(a_rows), states(b_rows)
+    fd = [[float(y) for y in range(len(b_states) + 1)]]
+    for xs, x_row, p in a_states:
+        prev, before = fd[-1], fd[p]
+        cur = [prev[0] + 1.0]
+        for y, (ys, y_row, q) in enumerate(b_states):
+            m = min(prev[y + 1] + 1.0, cur[y] + 1.0)
+            base = before[q]
+            if x_row or y_row:
+                cur.append(match(base, m, xs, ys, x_row, y_row))
+            else:
+                cur.append(relax(base, m, xs[0], ys[0]))
+        fd.append(cur)
+    return fd[-1][-1]
+
+
 def teds(a: TableTree, b: TableTree) -> float:
-    """Tree edit distance similarity normalized by the larger tree."""
-    distance = tree_edit_distance(a, b)
+    """Tree edit distance similarity normalized by the larger tree.
+
+    Two trees of ``build_table_tree``'s shape take the exact row-level
+    reduction ``_row_distance``; any other pair runs
+    ``tree_edit_distance``.
+    """
+    a_rows, b_rows = _table_rows(a), _table_rows(b)
+    if a_rows is None or b_rows is None:
+        distance = tree_edit_distance(a, b)
+    else:
+        distance = _row_distance(a_rows, b_rows)
     return max(0.0, 1.0 - distance / max(a.size(), b.size()))

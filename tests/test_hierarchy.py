@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from score_eval import hierarchy
 from score_eval.errors import InvalidThreshold, MalformedInput
 from score_eval.hierarchy import (
     CATEGORIES,
@@ -54,6 +55,11 @@ class TestMapCategory:
 
     def test_unknown_falls_back_to_other(self):
         assert CategoryMap.default().category("zzz-custom") == "OTHER"
+
+    def test_default_map_read_once(self, monkeypatch):
+        first = CategoryMap.default()
+        monkeypatch.setattr(hierarchy, "resources", None)  # a second read would fail
+        assert CategoryMap.default() is first
 
     def test_case_and_whitespace_insensitive(self):
         assert CategoryMap.default().category("  NARRATIVE-TEXT ") == "TEXT"

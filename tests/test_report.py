@@ -451,6 +451,23 @@ class TestCli:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [page["page_id"] for page in report["pages"]] == ["a"]
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs a file system that takes any bytes as a name")
+    def test_non_utf8_file_name_is_skipped_with_a_notice(self, tmp_path, capsys):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        for side in ("gt", "pred"):
+            with open(os.path.join(os.fsencode(tmp_path / side), b"b\xff.json"), "w", encoding="utf-8") as f:
+                json.dump(PERFECT_ITEMS, f)
+        out = tmp_path / "out"
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"), "--out", str(out)])
+        assert code == 0
+        notice = "skipped ground truth file b\\xff.json: name is not UTF-8"
+        assert f"notice: {notice}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert [page["page_id"] for page in report["pages"]] == ["a"]
+        assert notice in report["aggregate"]["notices"]
+        assert (out / "pages.csv").is_file() and (out / "summary.md").is_file()
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         write_rand_dataset(random.Random(103), tmp_path, 12)
         blobs = []

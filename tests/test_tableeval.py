@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import rand_grid_table, rand_span_rows, span_rows_html, table_bags, translate_table
+from conftest import (
+    rand_cell_content,
+    rand_grid_table,
+    rand_span_rows,
+    span_rows_html,
+    table_bags,
+    translate_table,
+)
 from oracles import (
     best_assignment,
     cell_alignment_per_shift,
@@ -415,6 +422,76 @@ def random_cell_tree(rng: random.Random) -> TableTree:
     return root
 
 
+def rows_tree(rows: list[list[tuple[str, int, int]]]) -> TableTree:
+    """table -> tr -> td over (content, rowspan, colspan) rows."""
+    return TableTree("table", children=[
+        TableTree("tr", children=[
+            TableTree("td", content=content, rowspan=rowspan, colspan=colspan)
+            for content, rowspan, colspan in row
+        ])
+        for row in rows
+    ])
+
+
+def perturb_rows(rng: random.Random, rows: list) -> list:
+    """Rows dropped, emptied or inserted; cells merged, respanned, typo'd or blanked."""
+    out = []
+    for row in rows:
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        if roll < 0.15:
+            out.append([])
+        elif roll < 0.2:
+            out.append([(rand_cell_content(rng), 1, 1)])
+        cells: list[tuple[str, int, int]] = []
+        for content, rowspan, colspan in row:
+            roll = rng.random()
+            if roll < 0.2:
+                content = typo(rng, content)
+            elif roll < 0.25:
+                content = ""
+            elif roll < 0.3:
+                rowspan += 1
+            elif roll < 0.35:
+                colspan = max(1, colspan - 1)
+            elif roll < 0.4 and cells:
+                left, _, left_colspan = cells.pop()
+                content, colspan = f"{left} {content}", left_colspan + colspan
+            cells.append((content, rowspan, colspan))
+        out.append(cells)
+    return out
+
+
+def regroup(rng: random.Random, cells: list) -> list:
+    """The cells in order, broken into rows at random, empty rows included."""
+    rows: list[list] = [[]]
+    for cell in cells:
+        while rng.random() < 0.3:
+            rows.append([])
+        rows[-1].append(cell)
+    return rows
+
+
+def rand_row_tree_pair(rng: random.Random, regroup_cells: bool) -> tuple[TableTree, TableTree]:
+    """Two table-shaped trees: a spanned table and its perturbation, or one
+    run of short cells broken into rows differently on each side.
+
+    Regrouped cells over a two-letter alphabet give many alignments of
+    equal exact cost whose float sums differ in the last place, so the
+    row reduction must add in Zhang-Shasha's order to stay bit-equal.
+    """
+    if not regroup_cells:
+        gt = rand_span_rows(rng) if rng.random() < 0.95 else []
+        pred = perturb_rows(rng, gt) if rng.random() < 0.9 else rand_span_rows(rng)
+        return rows_tree(pred), rows_tree(gt)
+    cells = [("".join(rng.choice("ab") for _ in range(rng.randint(1, 7))), 1, rng.choice((1, 1, 2)))
+             for _ in range(rng.randint(0, 12))]
+    other = [(typo(rng, c) if rng.random() < 0.5 else c, rowspan, colspan)
+             for c, rowspan, colspan in cells if rng.random() < 0.9]
+    return rows_tree(regroup(rng, cells)), rows_tree(regroup(rng, other))
+
+
 class TestTeds:
     def test_identical(self):
         tree = build_table_tree(QUARTERS)
@@ -454,6 +531,28 @@ class TestTeds:
         a = build_table_tree(NormalizedTable.from_cells([Cell(0, 0, 1, 2, "x")]))
         b = build_table_tree(NormalizedTable.from_cells([Cell(0, 0, 1, 1, "x")]))
         assert tree_edit_distance(a, b) == 1.0
+
+    def test_non_table_shape_takes_general_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tableeval, "tree_edit_distance",
+                            lambda a, b: calls.append(1) or tree_edit_distance(a, b))
+        table = build_table_tree(QUARTERS)
+        teds(table, table)
+        assert calls == []
+        nested = build_table_tree(QUARTERS)
+        nested.children[0].children[0].children.append(TableTree("td", content="Q1"))
+        assert teds(nested, table) == pytest.approx(1 - 1 / 8)
+        assert calls == [1]
+
+    def test_row_distance_bit_equal_to_zhang_shasha(self):
+        rng = random.Random(73)
+        for trial in range(10_000):
+            a, b = rand_row_tree_pair(rng, regroup_cells=trial % 2 == 1)
+            a_rows, b_rows = tableeval._table_rows(a), tableeval._table_rows(b)
+            assert a_rows is not None and b_rows is not None
+            want = tree_edit_distance(a, b)
+            assert tableeval._row_distance(a_rows, b_rows) == want, (trial, a, b)
+            assert teds(a, b) == max(0.0, 1.0 - want / max(a.size(), b.size()))
 
     def test_single_cell_vs_multi_cell_ordering(self):
         # flattened one-cell prediction scores much worse on structure
