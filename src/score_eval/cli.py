@@ -104,6 +104,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         out = Path(args.out)
         if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
             raise _ConfigError(f"--out is not a directory: {out}")
+    for label, directory in (("--gt", args.gt), ("--pred", args.pred)):
+        if not Path(directory).is_dir():
+            raise _ConfigError(f"{label} is not a directory: {directory}")
     return cfg
 
 
@@ -134,14 +137,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"score-eval: configuration error: {exc}", file=sys.stderr)
         return 1
 
-    gt_dir, pred_dir = Path(args.gt), Path(args.pred)
-    for label, directory in (("--gt", gt_dir), ("--pred", pred_dir)):
-        if not directory.is_dir():
-            print(f"score-eval: {label} is not a directory: {directory}", file=sys.stderr)
-            return 1
-
     try:
-        pairs, notices = pair_pages(gt_dir, pred_dir)
+        pairs, notices = pair_pages(Path(args.gt), Path(args.pred))
     except EmptyDataset as exc:
         print(f"score-eval: {exc}", file=sys.stderr)
         return 2

@@ -23,8 +23,8 @@ from .textmetrics import (
     DEFAULT_TOKENIZER,
     TokenizerConfig,
     content_text,
-    element_neds,
     greedy_one_to_one,
+    ned,
     ned_upper_bound,
     tokenize,
 )
@@ -159,13 +159,13 @@ def match_elements(
     default category map.
     """
     gt_prep, pred_prep = PreparedPage(gt), PreparedPage(pred)
-    return match_prepared(gt_prep, pred_prep, element_neds(pred_prep, gt_prep), sim_threshold)
+    return match_prepared(gt_prep, pred_prep, functools.cache(ned), sim_threshold)
 
 
 def match_prepared(
-    gt: PreparedPage, pred: PreparedPage, pair_ned: Callable[[int, int], float], sim_threshold: float
+    gt: PreparedPage, pred: PreparedPage, ned_of: Callable[[str, str], float], sim_threshold: float
 ) -> list[tuple[int, int, float]]:
-    """``match_elements`` on prepared pages, reading NEDs from ``pair_ned(pred, gt)``.
+    """``match_elements`` on prepared pages, reading NEDs from ``ned_of(pred text, GT text)``.
 
     A pair's NED is read only when its length bound (``ned_upper_bound``)
     comes first among the pairs whose ends are both still free.
@@ -184,7 +184,7 @@ def match_prepared(
                 seeds.append(((-bound, gap(i, j), i, j), 0, i, j))
 
     def exact_key(i: int, j: int) -> Optional[tuple]:
-        score = pair_ned(j, i)
+        score = ned_of(pred.texts[j], gt.texts[i])
         return (-score, gap(i, j), i, j) if score >= sim_threshold else None
 
     return sorted((i, j, -key[0]) for key, i, j in greedy_one_to_one(seeds, exact_key))

@@ -26,7 +26,9 @@ def _collapse_ws(text: str) -> str:
 
 
 def _integer(value) -> int:
-    """``int(value)``, but a float with a fractional part is refused, not truncated."""
+    """``int(value)`` of a JSON number; a string, a boolean or a fractional float is refused."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"{value!r} is not a number")
     number = int(value)
     if isinstance(value, float) and number != value:
         raise ValueError(f"{value!r} is not a whole number")

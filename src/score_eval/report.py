@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -23,10 +24,10 @@ from .hierarchy import (
 from .ingest import PagePair
 from .tableeval import (
     DetectionResult,
+    _content_index_accuracy,
+    _teds,
     build_table_tree,
-    content_index_accuracy,
     match_tables,
-    teds,
 )
 from .textmetrics import (
     FidelityScores,
@@ -34,8 +35,8 @@ from .textmetrics import (
     _alignment_similarity,
     _cer_from_distance,
     _ned_from_distance,
-    element_neds,
     levenshtein,
+    ned,
     page_text,
     tokens_added,
     tokens_found,
@@ -164,15 +165,15 @@ def evaluate_page(
     gt = PreparedPage(pair.gt, cfg.tokenizer, cmap)
     pred = PreparedPage(pair.pred, cfg.tokenizer, cmap)
     notices = [f"gt {n}" for n in gt.notices] + [f"pred {n}" for n in pred.notices]
-    # adjusted NED and element matching read each element NED from here
-    pair_ned = element_neds(pred, gt)
+    # the page's one NED source, read as (pred string, GT string) by the element and table metrics
+    ned_of = functools.cache(ned)
 
     gt_text = page_text(gt.page)
     pred_text = page_text(pred.page)
     # one page-level distance feeds raw NED, the adjusted-NED floor and CER
     distance = levenshtein(pred_text, gt_text)
     raw_ned = _ned_from_distance(distance, pred_text, gt_text)
-    adj = max(raw_ned, _alignment_similarity(pred, gt, pair_ned))
+    adj = max(raw_ned, _alignment_similarity(pred, gt, ned_of))
     gt_bag = gt.token_bag()
     pred_bag = pred.token_bag()
     try:
@@ -211,12 +212,12 @@ def evaluate_page(
                 pi = matched.get(gi)
                 if pi is None:
                     continue  # a missed table contributes zero
-                accuracy = content_index_accuracy(
-                    pred_tables[pi], gt_table, cfg.shift_n, cfg.index_gate
+                accuracy = _content_index_accuracy(
+                    pred_tables[pi], gt_table, cfg.shift_n, cfg.index_gate, ned_of
                 )
                 content_sum += accuracy.content_acc
                 index_sum += accuracy.index_acc
-                teds_sum += teds(build_table_tree(pred_tables[pi]), build_table_tree(gt_table))
+                teds_sum += _teds(build_table_tree(pred_tables[pi]), build_table_tree(gt_table), ned_of)
             count = len(gt_tables)
             table_scores = TableScores(
                 detection=detection,
@@ -227,7 +228,7 @@ def evaluate_page(
         else:
             table_scores = TableScores(detection=detection, content_acc=None, index_acc=None, teds=None)
 
-    matching = match_prepared(gt, pred, pair_ned, cfg.sim_threshold)
+    matching = match_prepared(gt, pred, ned_of, cfg.sim_threshold)
     confusion = build_confusion(matching, gt.page, pred.page, cmap)
     consistency = consistency_score(confusion)
 

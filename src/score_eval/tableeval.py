@@ -249,14 +249,14 @@ def _shift_scores(
     g: NormalizedTable,
     shifts: Iterable[tuple[int, int]],
     index_gate: float,
+    ned_of: Callable[[str, str], float],
 ) -> Iterator[tuple[float, float, tuple[int, int]]]:
     """(content, index, shift) for each GT grid shift, in the order given.
 
     What no shift changes (flattened axes, occupancy, GT unit positions)
-    is built once, each axis score is computed once per delta, and each
-    distinct string pair's ned once per call.
+    is built once and each axis score is computed once per delta; NEDs
+    are read from ``ned_of(pred string, GT string)``.
     """
-    ned_of = functools.cache(ned)
     p_rows, g_rows = flatten(p, "row"), flatten(g, "row")
     p_cols, g_cols = flatten(p, "col"), flatten(g, "col")
     row_score = functools.cache(lambda d: _axis_score(p_rows, g_rows, d, ned_of))
@@ -288,7 +288,7 @@ def cell_alignment(
     cells whose shifted position is occupied in the prediction by a
     cell whose content clears the gate.
     """
-    content, index, _ = next(_shift_scores(p, g, [shift], index_gate))
+    content, index, _ = next(_shift_scores(p, g, [shift], index_gate, functools.cache(ned)))
     return content, index
 
 
@@ -304,6 +304,12 @@ def content_index_accuracy(
     smallest displacement, then lexicographic order, so results do not
     depend on evaluation order.
     """
+    return _content_index_accuracy(p, g, n, index_gate, functools.cache(ned))
+
+
+def _content_index_accuracy(p: NormalizedTable, g: NormalizedTable, n: int, index_gate: float,
+                            ned_of: Callable[[str, str], float]) -> CellAccuracy:
+    """``content_index_accuracy``, reading NEDs from ``ned_of(pred string, GT string)``."""
     if n < 0:
         raise InvalidThreshold(f"shift bound must be >= 0, got {n}")
     # A delta at or past the tables' extent leaves no row (column)
@@ -313,7 +319,7 @@ def content_index_accuracy(
     cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
     shifts = [(d_row, d_col) for d_row in rows for d_col in cols]
     content, index, shift = min(
-        _shift_scores(p, g, shifts, index_gate),
+        _shift_scores(p, g, shifts, index_gate, ned_of),
         key=lambda s: (-(s[0] + s[1]), abs(s[2][0]) + abs(s[2][1]), s[2]),
     )
     return CellAccuracy(content_acc=content, index_acc=index, best_shift=shift)
@@ -349,13 +355,13 @@ def build_table_tree(t: NormalizedTable) -> TableTree:
     return root
 
 
-def _substitution_cost(a: TableTree, b: TableTree) -> float:
+def _substitution_cost(a: TableTree, b: TableTree, ned_of: Callable[[str, str], float]) -> float:
     if a.label != b.label:
         return 1.0
     if a.label == "td":
         if a.rowspan != b.rowspan or a.colspan != b.colspan:
             return 1.0
-        return 1.0 - ned(a.content, b.content)
+        return 1.0 - ned_of(a.content, b.content)
     return 0.0
 
 
@@ -406,7 +412,7 @@ def tree_edit_distance(a: TableTree, b: TableTree) -> float:
                         fd[x][y] = min(
                             fd[x - 1][y] + 1.0,
                             fd[x][y - 1] + 1.0,
-                            fd[x - 1][y - 1] + _substitution_cost(na[x + ioff], nb[y + joff]),
+                            fd[x - 1][y - 1] + _substitution_cost(na[x + ioff], nb[y + joff], ned),
                         )
                         dist[x + ioff][y + joff] = fd[x][y]
                     else:
@@ -445,7 +451,8 @@ def _align(xs: Sequence[int], ys: Sequence[int], relax: Callable[[float, float, 
     return prev[-1]
 
 
-def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequence[TableTree]]) -> float:
+def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequence[TableTree]],
+                  ned_of: Callable[[str, str], float]) -> float:
     """``tree_edit_distance`` of two table -> tr -> td trees, bit for bit.
 
     Zhang-Shasha fills a forest table for every pair of keyroots; on a
@@ -492,7 +499,6 @@ def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequen
         ]
         for a in a_cells
     ]
-    exact: dict[tuple[int, int], float] = {}
 
     def relax_bound(base: float, m: float, i: int, j: int) -> float:
         return min(m, base + lower[i][j])
@@ -500,10 +506,7 @@ def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequen
     def relax(base: float, m: float, i: int, j: int) -> float:
         if base + lower[i][j] >= m:
             return m
-        cost = exact.get((i, j))
-        if cost is None:
-            cost = exact[i, j] = _substitution_cost(a_cells[i], b_cells[j])
-        return min(m, base + cost)
+        return min(m, base + _substitution_cost(a_cells[i], b_cells[j], ned_of))
 
     def subtree(xs: list[int], ys: list[int], x_row: bool, y_row: bool,
                 step: Callable[[float, float, int, int], float]) -> float:
@@ -555,9 +558,14 @@ def teds(a: TableTree, b: TableTree) -> float:
     reduction ``_row_distance``; any other pair runs
     ``tree_edit_distance``.
     """
+    return _teds(a, b, functools.cache(ned))
+
+
+def _teds(a: TableTree, b: TableTree, ned_of: Callable[[str, str], float]) -> float:
+    """``teds``, the row-level reduction reading NEDs from ``ned_of(a content, b content)``."""
     a_rows, b_rows = _table_rows(a), _table_rows(b)
     if a_rows is None or b_rows is None:
         distance = tree_edit_distance(a, b)
     else:
-        distance = _row_distance(a_rows, b_rows)
+        distance = _row_distance(a_rows, b_rows, ned_of)
     return max(0.0, 1.0 - distance / max(a.size(), b.size()))

@@ -231,16 +231,6 @@ def content_tokens(page: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZE
     return _prepare(page, cfg).token_bag()
 
 
-def element_neds(pred: "PreparedPage", gt: "PreparedPage") -> Callable[[int, int], float]:
-    """Content-text NED of (pred index, GT index), each pair computed on first use.
-
-    NED is symmetric, so every element-level metric of one page pair can
-    read its NEDs from the one table; the table lives as long as the
-    returned function.
-    """
-    return functools.cache(lambda i, j: ned(pred.texts[i], gt.texts[j]))
-
-
 def greedy_one_to_one(
     seeds: Iterable[tuple[tuple, int, int, int]],
     exact_key: Callable[[int, int], Optional[tuple]],
@@ -277,12 +267,13 @@ def greedy_one_to_one(
     return accepted
 
 
-def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", pair_ned: Callable[[int, int], float]) -> float:
+def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", ned_of: Callable[[str, str], float]) -> float:
     """The alignment half of ``adjusted_ned``; 0.0 when the prediction has no tokens.
 
     Tables compare via token-bag overlap of cell contents and only with
     tables, figures via caption edit similarity and only with figures,
-    everything else via edit similarity with any element.
+    everything else via edit similarity with any element.  Edit
+    similarities are read from ``ned_of(pred text, GT text)``.
     """
     weights = [bag.total() for bag in pred.bags]
     total_weight = sum(weights)
@@ -306,7 +297,7 @@ def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", pair_ned: Ca
                 seeds.append(((-ned_upper_bound(pred.texts[i], gt.texts[j]), j, i), 0, i, j))
 
     def exact_key(i: int, j: int) -> Optional[tuple]:
-        sim = pair_ned(i, j)
+        sim = ned_of(pred.texts[i], gt.texts[j])
         return (-sim, j, i) if sim > 0.0 else None
 
     assigned = {i: -key[0] for key, i, _ in greedy_one_to_one(seeds, exact_key)}
@@ -326,4 +317,4 @@ def adjusted_ned(pred: "DocumentPage", gt: "DocumentPage", cfg: TokenizerConfig 
     """
     raw = ned(page_text(pred), page_text(gt))
     pred_prep, gt_prep = _prepare(pred, cfg), _prepare(gt, cfg)
-    return max(raw, _alignment_similarity(pred_prep, gt_prep, element_neds(pred_prep, gt_prep)))
+    return max(raw, _alignment_similarity(pred_prep, gt_prep, functools.cache(ned)))

@@ -116,7 +116,7 @@ def tree_distance_by_mappings(a: TableTree, b: TableTree) -> float:
                     continue
                 cost = float((n - k) + (m - k))
                 for x in range(k):
-                    cost += _substitution_cost(na[left[x]], nb[right[x]])
+                    cost += _substitution_cost(na[left[x]], nb[right[x]], ned)
                 best = min(best, cost)
     return best
 

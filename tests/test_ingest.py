@@ -574,8 +574,12 @@ class TestPairPages:
             ([{"row": 0, "col": 0, "colspan": [2]}], "cell 0 needs integer 'rowspan' and 'colspan'"),
             ([{"x": 0, "y": 0}, {"x": 1, "y": 0, "w": 1.9}], "cell 1 needs integer 'w' and 'h'"),
             ([{"row": 0, "col": 0}, {"row": 0.5, "col": 1}], "cell 1 needs integer 'row' and 'col'"),
+            ([{"x": "2", "y": 0, "content": "a"}], "cell 0 needs integer 'x' and 'y'"),
+            ([{"x": 0, "y": 0}, {"x": 2, "y": True, "content": "a"}], "cell 1 needs integer 'x' and 'y'"),
+            ([{"x": 0, "y": 0, "w": " 3 ", "content": "a"}], "cell 0 needs integer 'w' and 'h'"),
         ],
-        ids=["w-word", "h-null", "w-infinity", "rowspan-word", "colspan-list", "w-fraction", "row-fraction"],
+        ids=["w-word", "h-null", "w-infinity", "rowspan-word", "colspan-list", "w-fraction", "row-fraction",
+             "x-digit-string", "y-bool", "w-padded-string"],
     )
     def test_non_integer_span_becomes_notice(self, tmp_path, table, named):
         for side in ("gt", "pred"):

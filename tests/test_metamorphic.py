@@ -1,6 +1,6 @@
 """Metamorphic relations for the claim that SCORE is interpretation-agnostic.
 
-Each test draws about 1,000 seeded pages from the ``conftest``
+Each test draws hundreds to 1,000 seeded pages from the ``conftest``
 generators, applies a transformation whose effect on the scores the
 metric definitions fix in advance, and checks that effect on every page
 (metamorphic testing: Chen, Cheung & Yiu 1998, HKUST-CS98-01).  The
@@ -8,6 +8,7 @@ last tests check that the public page-level functions score a page
 exactly as ``evaluate_page`` does.
 """
 
+import functools
 import json
 import random
 
@@ -19,11 +20,12 @@ from score_eval.hierarchy import PreparedPage, build_confusion, consistency_scor
 from score_eval.ingest import PagePair, parse_document
 from score_eval.report import RunConfig, evaluate_page
 from score_eval.tableeval import Cell, NormalizedTable
+from score_eval import textmetrics
 from score_eval.textmetrics import (
     _alignment_similarity,
+    bag_similarity,
     adjusted_ned,
     content_tokens,
-    element_neds,
     ned,
     page_text,
     tokens_added,
@@ -44,18 +46,19 @@ def parse_pair(gt_items, pred_items, page_id):
     )
 
 
+def prepared(page):
+    return PreparedPage(page, CFG.tokenizer, CMAP)
+
+
 def alignment_half(pair):
     """The alignment term of adjusted NED, on the pages evaluation prepares."""
-    gt = PreparedPage(pair.gt, CFG.tokenizer, CMAP)
-    pred = PreparedPage(pair.pred, CFG.tokenizer, CMAP)
-    return _alignment_similarity(pred, gt, element_neds(pred, gt))
+    return _alignment_similarity(prepared(pair.pred), prepared(pair.gt), functools.cache(ned))
 
 
 def reencode_tables(rng, items, page):
     """Write each TABLE-category element's parsed table again, in a randomly drawn encoding."""
-    prepared = PreparedPage(page, CFG.tokenizer, CMAP).page
     out = []
-    for item, element in zip(items, prepared.elements, strict=True):
+    for item, element in zip(items, prepared(page).page.elements, strict=True):
         if element.table is not None and CMAP.category(element.raw_label) == "TABLE":
             encode = rng.choice((to_coord_cells, to_rowcol_cells, to_html))
             item = {**item, "text": encode(element.table)}
@@ -82,6 +85,65 @@ def test_reencoding_prediction_tables_keeps_the_agnostic_scores():
         ned_moved += new.fidelity.ned != old.fidelity.ned
     # the relation has teeth only if re-encoding reached the serialization
     assert ned_moved > 0
+
+
+def raw_ned(pair):
+    return ned(page_text(pair.pred), page_text(pair.gt))
+
+
+def distinct_candidates(pair):
+    """Whether no two positive similarities an alignment candidate can take are equal."""
+    gt, pred = prepared(pair.gt), prepared(pair.pred)
+    sims = [ned(p, g) for p in pred.texts for g in gt.texts]
+    gt_tables, pred_tables = (
+        [bag for bag, e in zip(side.bags, side.page.elements) if e.table is not None] for side in (gt, pred)
+    )
+    sims += [bag_similarity(p, g) for p in pred_tables for g in gt_tables]
+    positive = [s for s in sims if s > 0.0]
+    return len(positive) == len(set(positive))
+
+
+def test_permuting_prediction_elements_keeps_the_alignment(monkeypatch):
+    # (c) with distinct candidate similarities the greedy order depends on
+    # the similarities alone, not on where the prediction puts an element
+    accepted = []
+    greedy = textmetrics.greedy_one_to_one
+
+    def recording_greedy(seeds, exact_key):
+        result = greedy(seeds, exact_key)
+        accepted.extend(result)
+        return result
+
+    monkeypatch.setattr(textmetrics, "greedy_one_to_one", recording_greedy)
+
+    def alignment(pair, order):
+        """Accepted (old pred index, GT index, similarity), sorted, and the alignment half."""
+        accepted.clear()
+        half = alignment_half(pair)
+        return sorted((order[i], j, -key[0]) for key, i, j in accepted), half
+
+    rng = random.Random(1978)
+    cases = drawn = ned_moved = 0
+    while cases < PAGES // 2:
+        drawn += 1
+        gt_items = rand_page_items(rng, max_elements=4)
+        pred_items = perturb_items(rng, gt_items)
+        before = parse_pair(gt_items, pred_items, f"p{drawn:04d}")
+        if len(pred_items) < 2 or not distinct_candidates(before):
+            continue
+        order = rng.sample(range(len(pred_items)), len(pred_items))
+        if order == sorted(order):
+            order.reverse()
+        after = parse_pair(gt_items, [pred_items[k] for k in order], f"p{drawn:04d}")
+        old_pairs, old_half = alignment(before, range(len(order)))
+        new_pairs, new_half = alignment(after, order)
+        assert new_pairs == old_pairs
+        # the weighted sum runs in a different order
+        assert new_half == pytest.approx(old_half, rel=0.0, abs=1e-12)
+        ned_moved += raw_ned(after) != raw_ned(before)
+        cases += 1
+    # the relation has teeth only if the permutation reached the page text
+    assert ned_moved > cases // 2, ned_moved
 
 
 def test_identical_prediction_scores_perfectly():

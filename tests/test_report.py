@@ -41,6 +41,23 @@ PERFECT_ITEMS = [
 ]
 
 
+def count_neds(monkeypatch) -> list[tuple[str, str]]:
+    """The (s, g) of every ``ned`` call, in every score_eval module that binds it."""
+    from score_eval import textmetrics
+
+    original = textmetrics.ned
+    calls = []
+
+    def counting_ned(s, g):
+        calls.append((s, g))
+        return original(s, g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("score_eval") and getattr(module, "ned", None) is original:
+            monkeypatch.setattr(module, "ned", counting_ned)
+    return calls
+
+
 class TestEvaluatePage:
     def test_perfect_page_scores_one(self):
         report = evaluate_page(simple_pair(PERFECT_ITEMS, PERFECT_ITEMS))
@@ -58,19 +75,8 @@ class TestEvaluatePage:
         assert report.notices == []
 
     def test_each_element_pair_ned_is_computed_once(self, monkeypatch):
-        # adjusted NED and element matching share one table of element NEDs
-        from score_eval import textmetrics
-
-        original = textmetrics.ned
-        calls = []
-
-        def counting_ned(s, g):
-            calls.append((s, g))
-            return original(s, g)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("score_eval") and getattr(module, "ned", None) is original:
-                monkeypatch.setattr(module, "ned", counting_ned)
+        # adjusted NED and element matching read the page's one NED source
+        calls = count_neds(monkeypatch)
         gt_texts = ["alpha beta gamma", "delta epsilon zeta", "eta theta iota"]
         pred_texts = ["delta epsilon zeda", "alpha beta gamna", "eta theta iotta"]
         pair = simple_pair(
@@ -84,6 +90,32 @@ class TestEvaluatePage:
         # first among free pairs: here that is just the three matched pairs
         assert set(as_pred_gt) == set(zip(pred_texts, [gt_texts[1], gt_texts[0], gt_texts[2]]))
         assert len(as_pred_gt) == len(set(as_pred_gt))
+
+    def test_each_string_pair_ned_is_computed_once_per_page(self, monkeypatch):
+        # alignment, matching, shift search and TEDS read one NED source
+        calls = count_neds(monkeypatch)
+        gt_table = [
+            {"x": 0, "y": 0, "content": "Q1"}, {"x": 1, "y": 0, "content": "$100K"},
+            {"x": 0, "y": 1, "content": "Q2"}, {"x": 1, "y": 1, "content": "$200K"},
+        ]
+        gt_items = [
+            {"type": "Text", "text": "Revenue rose in every quarter."},
+            {"type": "Table", "text": gt_table},
+            {"type": "Text", "text": "Costs fell in the second half."},
+        ]
+        pred_items = [
+            {"type": "Text", "text": "Revenue rose in every quarter"},
+            {"type": "Table", "text": "<table><tr><td>Q1</td><td>$10OK</td></tr>"
+                                      "<tr><td>Q2</td><td>$200K</td></tr></table>"},
+            {"type": "Text", "text": "Costs fell in the second half!"},
+        ]
+        report = evaluate_page(simple_pair(gt_items, pred_items))
+        assert report.table.detection.true_positives == 1
+        assert 0.0 < report.table.teds < 1.0 and report.table.index_acc == 1.0
+        # element texts and cell contents alike, each once, as (pred, GT)
+        assert ("Revenue rose in every quarter", "Revenue rose in every quarter.") in calls
+        assert ("$10OK", "$100K") in calls and ("$100K", "$10OK") not in calls
+        assert len(calls) == len(set(calls))
 
     def test_each_element_is_tokenized_once(self, monkeypatch):
         # table detection reads the token bags of the prepared pages
@@ -555,9 +587,11 @@ class TestCli:
             ("--category-map", "latin1_map.txt"),
             ("--out", "taken"),
             ("--out", "taken/reports"),
+            ("--gt", "absent"),
+            ("--pred", "taken"),
         ],
         ids=["missing-config", "config-is-a-directory", "non-utf8-category-map",
-             "out-is-a-file", "out-under-a-file"],
+             "out-is-a-file", "out-under-a-file", "gt-is-missing", "pred-is-a-file"],
     )
     def test_unusable_file_is_a_configuration_error(self, tmp_path, capsys, monkeypatch, flag, name):
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")

@@ -306,10 +306,10 @@ class TestContentIndexAccuracy:
         scored = []
         shift_scores = tableeval._shift_scores
 
-        def counting_shift_scores(p, g, shifts, index_gate):
+        def counting_shift_scores(p, g, shifts, index_gate, ned_of):
             shifts = list(shifts)
             scored.extend(shifts)
-            return shift_scores(p, g, shifts, index_gate)
+            return shift_scores(p, g, shifts, index_gate, ned_of)
 
         monkeypatch.setattr(tableeval, "_shift_scores", counting_shift_scores)
         pred = grid(["a", "b", "c"], ["d", "e", "f"])
@@ -551,7 +551,7 @@ class TestTeds:
             a_rows, b_rows = tableeval._table_rows(a), tableeval._table_rows(b)
             assert a_rows is not None and b_rows is not None
             want = tree_edit_distance(a, b)
-            assert tableeval._row_distance(a_rows, b_rows) == want, (trial, a, b)
+            assert tableeval._row_distance(a_rows, b_rows, ned) == want, (trial, a, b)
             assert teds(a, b) == max(0.0, 1.0 - want / max(a.size(), b.size()))
 
     def test_single_cell_vs_multi_cell_ordering(self):
