@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -263,4 +264,4 @@ def consistency_score(matrix: ConfusionMatrix) -> float:
         fn = row_mass - tp
         denom = 2 * tp + fp + fn
         scores.append(2 * tp / denom if denom else 0.0)
-    return sum(scores) / len(scores) if scores else 1.0
+    return math.fsum(scores) / len(scores) if scores else 1.0

@@ -25,8 +25,7 @@ from .ingest import PagePair
 from .tableeval import (
     DetectionResult,
     _content_index_accuracy,
-    _teds,
-    build_table_tree,
+    _table_teds,
     match_tables,
 )
 from .textmetrics import (
@@ -81,6 +80,8 @@ class RunConfig:
             raise MalformedInput(f"diff_epsilon must be >= 0, got {self.diff_epsilon}")
         if self.tokenizer.unicode_normalize not in _UNICODE_FORMS:
             raise MalformedInput(f"unicode_normalize must be one of {_UNICODE_FORMS}")
+        if not self.formats:
+            raise MalformedInput("formats must name at least one output format")
         unknown = set(self.formats) - {"json", "csv", "markdown"}
         if unknown:
             raise MalformedInput(f"unknown output formats: {sorted(unknown)}")
@@ -217,7 +218,7 @@ def evaluate_page(
                 )
                 content_sum += accuracy.content_acc
                 index_sum += accuracy.index_acc
-                teds_sum += _teds(build_table_tree(pred_tables[pi]), build_table_tree(gt_table), ned_of)
+                teds_sum += _table_teds(pred_tables[pi], gt_table, ned_of)
             count = len(gt_tables)
             table_scores = TableScores(
                 detection=detection,

@@ -13,7 +13,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InvalidThreshold, OverlappingCells
 from .textmetrics import DEFAULT_TOKENIZER, TokenizerConfig, bag_similarity, ned, ned_upper_bound, tokenize
@@ -205,23 +205,24 @@ def match_tables(
     return DetectionResult(tp, fp, fn, precision, recall, f_beta, tuple(pairs))
 
 
+def _lines(t: NormalizedTable, axis: str = "row") -> list[list[Cell]]:
+    """The cells anchored at each row (or column) index, in cross-axis order."""
+    if axis not in ("row", "col"):
+        raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+    key = (lambda c: (c.row, c.col)) if axis == "row" else (lambda c: (c.col, c.row))
+    lines: list[list[Cell]] = [[] for _ in range(t.n_rows if axis == "row" else t.n_cols)]
+    for cell in sorted(t.cells, key=key):
+        lines[key(cell)[0]].append(cell)
+    return lines
+
+
 def flatten(t: NormalizedTable, axis: str = "row") -> list[str]:
     """One string per index along the axis; spanned cells count once.
 
     Cells are joined with single spaces in increasing cross-axis order;
     indices with no anchored cell yield empty strings.
     """
-    if axis not in ("row", "col"):
-        raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
-    size = t.n_rows if axis == "row" else t.n_cols
-    buckets: list[list[Cell]] = [[] for _ in range(size)]
-    for cell in t.cells:
-        buckets[cell.row if axis == "row" else cell.col].append(cell)
-    key = (lambda c: c.col) if axis == "row" else (lambda c: c.row)
-    return [
-        " ".join(c.content for c in sorted(bucket, key=key) if c.content)
-        for bucket in buckets
-    ]
+    return [" ".join(c.content for c in line if c.content) for line in _lines(t, axis)]
 
 
 def _axis_score(
@@ -339,30 +340,28 @@ class TableTree:
         return 1 + sum(child.size() for child in self.children)
 
 
+# A td as the row-level TEDS reads it: content, rowspan and colspan.
+_Td = Union[Cell, TableTree]
+
+
 def build_table_tree(t: NormalizedTable) -> TableTree:
     """table -> one tr per row -> one td per anchored cell, in col order."""
-    root = TableTree("table")
-    by_row: dict[int, list[Cell]] = {}
-    for cell in t.cells:
-        by_row.setdefault(cell.row, []).append(cell)
-    for row in range(t.n_rows):
-        tr = TableTree("tr")
-        for cell in sorted(by_row.get(row, []), key=lambda c: c.col):
-            tr.children.append(
-                TableTree("td", content=cell.content, rowspan=cell.rowspan, colspan=cell.colspan)
-            )
-        root.children.append(tr)
-    return root
+    rows = [[TableTree("td", content=c.content, rowspan=c.rowspan, colspan=c.colspan) for c in line]
+            for line in _lines(t)]
+    return TableTree("table", children=[TableTree("tr", children=row) for row in rows])
+
+
+def _cell_cost(a: _Td, b: _Td, ned_of: Callable[[str, str], float]) -> float:
+    """A td relabel: 1.0 across differing spans, else ``1 - ned_of(a content, b content)``."""
+    if a.rowspan != b.rowspan or a.colspan != b.colspan:
+        return 1.0
+    return 1.0 - ned_of(a.content, b.content)
 
 
 def _substitution_cost(a: TableTree, b: TableTree, ned_of: Callable[[str, str], float]) -> float:
     if a.label != b.label:
         return 1.0
-    if a.label == "td":
-        if a.rowspan != b.rowspan or a.colspan != b.colspan:
-            return 1.0
-        return 1.0 - ned_of(a.content, b.content)
-    return 0.0
+    return _cell_cost(a, b, ned_of) if a.label == "td" else 0.0
 
 
 class _Annotated:
@@ -451,9 +450,9 @@ def _align(xs: Sequence[int], ys: Sequence[int], relax: Callable[[float, float, 
     return prev[-1]
 
 
-def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequence[TableTree]],
+def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td]],
                   ned_of: Callable[[str, str], float]) -> float:
-    """``tree_edit_distance`` of two table -> tr -> td trees, bit for bit.
+    """``tree_edit_distance`` of two table -> tr -> td trees given as rows of tds, bit for bit.
 
     Zhang-Shasha fills a forest table for every pair of keyroots; on a
     depth-2 tree one forest table over the row forests, plus the row
@@ -474,31 +473,24 @@ def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequen
       is deleted.  At each pair of prefixes the value is the minimum of
       deleting the rightmost root (+1), inserting it (+1), or matching
       the two rightmost subtrees at the distance Zhang-Shasha stores for
-      them: td-td ``_substitution_cost``; tr-tr the cells' sequence
+      them: td-td ``_cell_cost``; tr-tr the cells' sequence
       distance; tr-td ``min(len(row) + 1.0, fold + 1.0)``, with ``fold``
       the row's cells against the one td, grouped as Zhang-Shasha's
       relabel and descend arms are.  Same operands added in the same
       order give the same floats.
     - A match is skipped only when a lower bound on it already reaches
       the cheaper indel, so the minimum keeps its value.  A td pair's
-      bound is ``1 - ned_upper_bound``, which never exceeds ``1 - ned``
-      in floating point.  A match with a tr is first bounded by the
-      indels every alignment makes (the rows' length difference, or the
-      row's length against a td; integers, so exact), then by the same
-      alignment run on bound costs, as min and rounded addition are
+      bound is ``_cell_cost`` on ``ned_upper_bound``, never above the cost
+      on ``ned`` in floating point.  A match with a tr is first bounded by
+      the indels every alignment makes (the rows' length difference, or
+      the row's length against a td; integers, so exact), then by the
+      same alignment run on bound costs, as min and rounded addition are
       monotone.  A tr-td bound keeps its ``len(row) + 1.0`` arm: an
       empty row against a td costs 1.0, below ``fold + 1.0``.
     """
     a_cells = [td for row in a_rows for td in row]
     b_cells = [td for row in b_rows for td in row]
-    lower = [
-        [
-            1.0 if a.rowspan != b.rowspan or a.colspan != b.colspan
-            else 1.0 - ned_upper_bound(a.content, b.content)
-            for b in b_cells
-        ]
-        for a in a_cells
-    ]
+    lower = [[_cell_cost(a, b, ned_upper_bound) for b in b_cells] for a in a_cells]
 
     def relax_bound(base: float, m: float, i: int, j: int) -> float:
         return min(m, base + lower[i][j])
@@ -506,7 +498,7 @@ def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequen
     def relax(base: float, m: float, i: int, j: int) -> float:
         if base + lower[i][j] >= m:
             return m
-        return min(m, base + _substitution_cost(a_cells[i], b_cells[j], ned_of))
+        return min(m, base + _cell_cost(a_cells[i], b_cells[j], ned_of))
 
     def subtree(xs: list[int], ys: list[int], x_row: bool, y_row: bool,
                 step: Callable[[float, float, int, int], float]) -> float:
@@ -522,7 +514,7 @@ def _row_distance(a_rows: Sequence[Sequence[TableTree]], b_rows: Sequence[Sequen
             return m
         return min(m, base + subtree(xs, ys, x_row, y_row, relax))
 
-    def states(rows: Sequence[Sequence[TableTree]]) -> list[tuple[list[int], bool, int]]:
+    def states(rows: Sequence[Sequence[_Td]]) -> list[tuple[list[int], bool, int]]:
         """Per postorder node: its subtree's cells, whether it is a tr, and
         the prefix left once that subtree is removed."""
         out: list[tuple[list[int], bool, int]] = []
@@ -558,14 +550,18 @@ def teds(a: TableTree, b: TableTree) -> float:
     reduction ``_row_distance``; any other pair runs
     ``tree_edit_distance``.
     """
-    return _teds(a, b, functools.cache(ned))
-
-
-def _teds(a: TableTree, b: TableTree, ned_of: Callable[[str, str], float]) -> float:
-    """``teds``, the row-level reduction reading NEDs from ``ned_of(a content, b content)``."""
     a_rows, b_rows = _table_rows(a), _table_rows(b)
     if a_rows is None or b_rows is None:
         distance = tree_edit_distance(a, b)
     else:
-        distance = _row_distance(a_rows, b_rows, ned_of)
+        distance = _row_distance(a_rows, b_rows, functools.cache(ned))
     return max(0.0, 1.0 - distance / max(a.size(), b.size()))
+
+
+def _table_teds(p: NormalizedTable, g: NormalizedTable, ned_of: Callable[[str, str], float]) -> float:
+    """``teds`` of the tables' trees computed on their rows, with NEDs from
+    ``ned_of(pred content, GT content)``.  A tree is the root, one tr per
+    row index and one td per cell."""
+    p_rows, g_rows = _lines(p), _lines(g)
+    size = max(1 + len(p_rows) + len(p.cells), 1 + len(g_rows) + len(g.cells))
+    return max(0.0, 1.0 - _row_distance(p_rows, g_rows, ned_of) / size)

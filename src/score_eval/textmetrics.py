@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -301,7 +302,7 @@ def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", ned_of: Call
         return (-sim, j, i) if sim > 0.0 else None
 
     assigned = {i: -key[0] for key, i, _ in greedy_one_to_one(seeds, exact_key)}
-    weighted = sum(weights[i] * assigned.get(i, 0.0) for i in range(len(weights)))
+    weighted = math.fsum(weights[i] * assigned.get(i, 0.0) for i in range(len(weights)))
     return min(1.0, weighted / total_weight)
 
 

@@ -203,6 +203,15 @@ class TestConsistencyScore:
     def test_empty_matrix_scores_one(self):
         assert consistency_score(ConfusionMatrix.zeros()) == 1.0
 
+    def test_mean_is_exactly_rounded(self):
+        # F1s 0.1, 0.2, 0.3: plain float summation gives 0.20000000000000004
+        # on Python 3.10-3.11 and 0.19999999999999998 on 3.12+
+        matrix = ConfusionMatrix.zeros()
+        for label, matched, missed in (("TITLE", 1, 18), ("TEXT", 1, 8), ("LIST", 3, 14)):
+            matrix.add(label, label, matched)
+            matrix.add(label, NOMATCH, missed)
+        assert consistency_score(matrix) == 0.6 / 3
+
     def test_bounds_and_perfection_criterion(self):
         rng = random.Random(83)
         for _ in range(200):

@@ -229,6 +229,7 @@ class TestRunConfig:
             {"diff_epsilon": float("nan")},
             {"diff_epsilon": float("inf")},
             {"formats": ("yaml",)},
+            {"formats": ()},
         ],
     )
     def test_validate_rejects_bad_values(self, kwargs):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from oracles import (
     tree_distance_by_mappings,
 )
 from score_eval import tableeval
-from score_eval.errors import InvalidThreshold
+from score_eval.errors import InvalidThreshold, OverlappingCells
 from score_eval.ingest import parse_table_html
 from score_eval.tableeval import (
     _CARDINALITY_BONUS,
@@ -561,3 +562,63 @@ class TestTeds:
         structure = teds(build_table_tree(pred), build_table_tree(gt))
         content = content_index_accuracy(pred, gt, 2).content_acc
         assert content > structure
+
+
+def span_table(rows: list[list[tuple[str, int, int]]]) -> NormalizedTable:
+    return parse_table_html(span_rows_html(rows))
+
+
+def table_teds(p: NormalizedTable, g: NormalizedTable) -> float:
+    return tableeval._table_teds(p, g, functools.cache(ned))
+
+
+class TestTableTeds:
+    """Evaluation's TEDS on two tables equals ``teds`` on their trees."""
+
+    def check(self, p: NormalizedTable, g: NormalizedTable) -> None:
+        assert table_teds(p, g) == teds(build_table_tree(p), build_table_tree(g)), (p, g)
+
+    def test_matches_teds_on_trees(self):
+        rng = random.Random(79)
+        for trial in range(3_000):
+            if trial % 3 == 0:
+                pred, gt = rand_shift_pair(rng)  # a moved table starts below empty rows
+            elif trial % 3 == 1:
+                rows = rand_span_rows(rng)
+                gt = span_table(rows)
+                try:
+                    pred = span_table(perturb_rows(rng, rows))
+                except OverlappingCells:  # a grown rowspan ran into a later cell
+                    pred = span_table(rand_span_rows(rng))
+            else:
+                pred, gt = rand_grid_table(rng), span_table(rand_span_rows(rng))
+            self.check(pred, gt)
+            self.check(gt, pred)
+
+    def test_empty_tables(self):
+        empty = NormalizedTable.from_cells([])
+        assert table_teds(empty, empty) == 1.0
+        rng = random.Random(83)
+        for table in [QUARTERS] + [span_table(rand_span_rows(rng)) for _ in range(20)]:
+            self.check(empty, table)
+            self.check(table, empty)
+
+    def test_rows_without_an_anchored_cell(self):
+        tall = span_table([[("tall", 3, 1), ("b", 1, 1)]])
+        assert flatten(tall, "row") == ["tall b", "", ""]  # rows 1-2 only covered by the rowspan
+        low = translate_table(grid(["a", "b"]), 2, 0)
+        assert flatten(low, "row") == ["", "", "a b"]
+        for p, g in ((tall, low), (tall, grid(["tall", "b"])), (low, grid(["a", "b"]))):
+            self.check(p, g)
+            self.check(g, p)
+
+    def test_cells_in_any_order(self):
+        rng = random.Random(89)
+        for _ in range(500):
+            p, g = rand_shift_pair(rng)
+            rp, rg = NormalizedTable(cells=p.cells[::-1]), NormalizedTable(cells=g.cells[::-1])
+            for axis in ("row", "col"):
+                assert flatten(rp, axis) == flatten(p, axis)
+            assert build_table_tree(rp) == build_table_tree(p)
+            assert table_teds(rp, rg) == table_teds(p, g)
+            self.check(rp, rg)
