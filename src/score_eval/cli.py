@@ -8,22 +8,15 @@ notices and never abort a run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import EmptyDataset, ScoreEvalError
+from .errors import EmptyDataset, MalformedInput, ScoreEvalError
 from .ingest import pair_pages
 from .report import FLOAT_FIELDS, RunConfig, aggregate, evaluate_pairs, render, write_reports
 from .textmetrics import TokenizerConfig
-
-_BOOL_KEYS = {"case_fold", "strip_punct"}
-_INT_KEYS = {"shift_n", "jobs"}
-_STR_KEYS = {"unicode_normalize", "category_map", "formats"}
-
-
-class _ConfigError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +33,21 @@ def _parse_bool(value: str) -> bool:
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise _ConfigError(f"expected a boolean, got {value!r}")
+    raise MalformedInput(f"expected a boolean, got {value!r}")
+
+
+# Every setting and how a config-file value is read; the flags store
+# under the same names, so the file and the flags meet in one dict.
+_KEYS: dict[str, Callable[[str], object]] = {
+    **dict.fromkeys(FLOAT_FIELDS, float),
+    "shift_n": int,
+    "jobs": int,
+    "case_fold": _parse_bool,
+    "strip_punct": _parse_bool,
+    "unicode_normalize": str,
+    "category_map": str,
+    "formats": str,
+}
 
 
 def _load_config_file(path: Path) -> dict:
@@ -51,62 +58,41 @@ def _load_config_file(path: Path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise _ConfigError(f"{path}:{lineno}: expected key=value")
+            raise MalformedInput(f"{path}:{lineno}: expected key=value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key in _BOOL_KEYS:
-            values[key] = _parse_bool(raw)
-        elif key in FLOAT_FIELDS:
-            values[key] = float(raw)
-        elif key in _INT_KEYS:
-            values[key] = int(raw)
-        elif key in _STR_KEYS:
-            values[key] = raw
-        else:
-            raise _ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _KEYS:
+            raise MalformedInput(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = _KEYS[key](raw)
     return values
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values = _load_config_file(Path(args.config))
-
-    def pick(cli_value, key, default):
-        if cli_value is not None:
-            return cli_value
-        return values.get(key, default)
-
+    values = _load_config_file(Path(args.config)) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items() if key in _KEYS and value is not None)
+    jobs = values.pop("jobs", 1)
+    formats = values.pop("formats", "json,csv,markdown" if args.out else "markdown")
     base = RunConfig()
-    tokenizer = TokenizerConfig(
-        case_fold=values.get("case_fold", base.tokenizer.case_fold),
-        strip_punct=values.get("strip_punct", base.tokenizer.strip_punct),
-        unicode_normalize=values.get("unicode_normalize", base.tokenizer.unicode_normalize),
-    )
-    formats = pick(args.format, "formats", "json,csv,markdown" if args.out else "markdown")
-    cfg = RunConfig(
-        tokenizer=tokenizer,
-        shift_n=pick(args.shift_n, "shift_n", base.shift_n),
-        det_tau=pick(args.tau, "det_tau", base.det_tau),
-        det_beta=pick(args.beta, "det_beta", base.det_beta),
-        sim_threshold=values.get("sim_threshold", base.sim_threshold),
-        index_gate=values.get("index_gate", base.index_gate),
-        diff_epsilon=pick(args.diff_epsilon, "diff_epsilon", base.diff_epsilon),
-        category_map_path=pick(args.category_map, "category_map", base.category_map_path),
+    tokenizer = {f.name: values.pop(f.name) for f in dataclasses.fields(TokenizerConfig) if f.name in values}
+    # what is left are RunConfig fields under their own names
+    cfg = dataclasses.replace(
+        base,
+        tokenizer=dataclasses.replace(base.tokenizer, **tokenizer),
+        category_map_path=values.pop("category_map", base.category_map_path),
         formats=tuple(part.strip() for part in formats.split(",") if part.strip()),
+        **values,
     )
     cfg.validate()
-    jobs = pick(args.jobs, "jobs", 1)
     if jobs < 1:
-        raise _ConfigError(f"jobs must be >= 1, got {jobs}")
+        raise MalformedInput(f"jobs must be >= 1, got {jobs}")
     if cfg.category_map_path and not Path(cfg.category_map_path).is_file():
-        raise _ConfigError(f"category map not found: {cfg.category_map_path}")
+        raise MalformedInput(f"category map not found: {cfg.category_map_path}")
     if args.out:
         out = Path(args.out)
         if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
-            raise _ConfigError(f"--out is not a directory: {out}")
+            raise MalformedInput(f"--out is not a directory: {out}")
     for label, directory in (("--gt", args.gt), ("--pred", args.pred)):
         if not Path(directory).is_dir():
-            raise _ConfigError(f"{label} is not a directory: {directory}")
+            raise MalformedInput(f"{label} is not a directory: {directory}")
     return cfg
 
 
@@ -119,10 +105,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--pred", required=True, help="directory of predicted pages")
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--out", help="directory for report.json / pages.csv / summary.md")
-    parser.add_argument("--format", help="comma list of output formats (json,csv,markdown)")
+    parser.add_argument("--format", dest="formats", help="comma list of output formats (json,csv,markdown)")
     parser.add_argument("--shift-n", dest="shift_n", type=int, help="max cell shift tolerance")
-    parser.add_argument("--tau", type=float, help="table detection similarity threshold")
-    parser.add_argument("--beta", type=float, help="detection F-measure beta")
+    parser.add_argument("--tau", dest="det_tau", type=float, help="table detection similarity threshold")
+    parser.add_argument("--beta", dest="det_beta", type=float, help="detection F-measure beta")
     parser.add_argument("--diff-epsilon", dest="diff_epsilon", type=float,
                         help="min adjusted-raw gap for a diff page")
     parser.add_argument("--category-map", dest="category_map", help="label mapping file")
@@ -133,7 +119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _build_config(args)
         cmap = cfg.category_map()
-    except (_ConfigError, ScoreEvalError, ValueError, OSError) as exc:
+    except (ScoreEvalError, ValueError, OSError) as exc:
         print(f"score-eval: configuration error: {exc}", file=sys.stderr)
         return 1
 

@@ -72,6 +72,10 @@ class RunConfig:
             raise MalformedInput(f"det_tau must be in (0, 1], got {self.det_tau}")
         if self.det_beta <= 0.0:
             raise MalformedInput(f"det_beta must be positive, got {self.det_beta}")
+        if not math.isfinite(self.det_beta * self.det_beta):
+            raise MalformedInput(
+                f"det_beta must be at most about 1.34e154 (its square must be finite), got {self.det_beta}"
+            )
         if not 0.0 <= self.sim_threshold <= 1.0:
             raise MalformedInput(f"sim_threshold must be in [0, 1], got {self.sim_threshold}")
         if not 0.0 <= self.index_gate <= 1.0:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import InvalidThreshold, OverlappingCells
+from .errors import InvalidThreshold, MalformedInput, OverlappingCells
 from .textmetrics import DEFAULT_TOKENIZER, TokenizerConfig, bag_similarity, ned, ned_upper_bound, tokenize
 
 # Preference for higher-cardinality matchings among equal-similarity
@@ -42,16 +42,25 @@ class Cell:
 
 @dataclass(frozen=True)
 class NormalizedTable:
-    """Canonical cell-tuple representation shared by all table parsers."""
+    """Canonical cell-tuple representation shared by all table parsers.
+
+    Construction puts the cells in (row, col) order and refuses a cell
+    anchored before row or column 0, a span below 1, and two cells
+    covering one grid position; so tables holding the same cells are
+    equal, however the cells were ordered.
+    """
 
     cells: tuple[Cell, ...] = ()
 
-    @classmethod
-    def from_cells(cls, cells: Sequence[Cell]) -> "NormalizedTable":
-        """Sort, validate occupancy, and freeze a cell collection."""
-        ordered = tuple(sorted(cells, key=lambda c: (c.row, c.col)))
+    def __post_init__(self) -> None:
+        ordered = tuple(sorted(self.cells, key=lambda c: (c.row, c.col)))
         occupied: dict[tuple[int, int], Cell] = {}
         for cell in ordered:
+            if cell.row < 0 or cell.col < 0 or cell.rowspan < 1 or cell.colspan < 1:
+                raise MalformedInput(
+                    f"cell {cell.content!r} at ({cell.row},{cell.col}) spanning "
+                    f"{cell.rowspan}x{cell.colspan}: anchors must be >= 0 and spans >= 1"
+                )
             for pos in cell.positions():
                 other = occupied.get(pos)
                 if other is not None:
@@ -60,7 +69,12 @@ class NormalizedTable:
                         f"{cell.content!r} at ({cell.row},{cell.col}) both cover {pos}"
                     )
                 occupied[pos] = cell
-        return cls(ordered)
+        object.__setattr__(self, "cells", ordered)
+
+    @classmethod
+    def from_cells(cls, cells: Sequence[Cell]) -> "NormalizedTable":
+        """The table of these cells, in any order; the constructor validates them."""
+        return cls(tuple(cells))
 
     @property
     def n_rows(self) -> int:
@@ -188,8 +202,8 @@ def match_tables(
     """
     if not 0.0 < tau <= 1.0:
         raise InvalidThreshold(f"tau must be in (0, 1], got {tau}")
-    if not 0.0 < beta < math.inf:
-        raise InvalidThreshold(f"beta must be positive and finite, got {beta}")
+    if not (beta > 0.0 and math.isfinite(beta * beta)):
+        raise InvalidThreshold(f"beta must be positive with a finite square, got {beta}")
 
     sims = [[bag_similarity(p, g) for g in gt_bags] for p in pred_bags]
     profit = [[s + _CARDINALITY_BONUS if s >= tau else 0.0 for s in row] for row in sims]
@@ -209,10 +223,10 @@ def _lines(t: NormalizedTable, axis: str = "row") -> list[list[Cell]]:
     """The cells anchored at each row (or column) index, in cross-axis order."""
     if axis not in ("row", "col"):
         raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
-    key = (lambda c: (c.row, c.col)) if axis == "row" else (lambda c: (c.col, c.row))
-    lines: list[list[Cell]] = [[] for _ in range(t.n_rows if axis == "row" else t.n_cols)]
-    for cell in sorted(t.cells, key=key):
-        lines[key(cell)[0]].append(cell)
+    by_row = axis == "row"
+    lines: list[list[Cell]] = [[] for _ in range(t.n_rows if by_row else t.n_cols)]
+    for cell in t.cells:  # (row, col) order fills every row and every column in order
+        lines[cell.row if by_row else cell.col].append(cell)
     return lines
 
 

@@ -230,6 +230,7 @@ class TestRunConfig:
             {"diff_epsilon": float("inf")},
             {"formats": ("yaml",)},
             {"formats": ()},
+            {"det_beta": 1e200},
         ],
     )
     def test_validate_rejects_bad_values(self, kwargs):
@@ -357,6 +358,60 @@ def write_dataset(root, items_by_stem, side):
     return directory
 
 
+# Every config-file key: a value other than its default, and the
+# run_config field that echoes it (none for jobs, which is only accepted).
+EVERY_SETTING = [
+    ("det_tau", "0.7", ("det_tau",), 0.7),
+    ("det_beta", "2.5", ("det_beta",), 2.5),
+    ("sim_threshold", "0.8", ("sim_threshold",), 0.8),
+    ("index_gate", "0.25", ("index_gate",), 0.25),
+    ("diff_epsilon", "0.2", ("diff_epsilon",), 0.2),
+    ("shift_n", "4", ("shift_n",), 4),
+    ("jobs", "3", (), None),
+    ("case_fold", "no", ("tokenizer", "case_fold"), False),
+    ("strip_punct", "yes", ("tokenizer", "strip_punct"), True),
+    ("unicode_normalize", "NFKC", ("tokenizer", "unicode_normalize"), "NFKC"),
+    ("category_map", "map.txt", ("category_map_path",), "map.txt"),
+    ("formats", "json", ("formats",), ["json"]),
+]
+
+# Every flag with a config-file twin: the file's value, the flag's value
+# and where the flag's value shows.  The file's jobs, category map and
+# formats would fail the run or write no report.json on their own.
+EVERY_FLAG = [
+    ("--tau", "det_tau", "0.7", "0.9", ("det_tau",), 0.9),
+    ("--beta", "det_beta", "2.5", "0.5", ("det_beta",), 0.5),
+    ("--diff-epsilon", "diff_epsilon", "0.2", "0.3", ("diff_epsilon",), 0.3),
+    ("--shift-n", "shift_n", "4", "1", ("shift_n",), 1),
+    ("--jobs", "jobs", "0", "2", (), None),
+    ("--category-map", "category_map", "absent.txt", "map.txt", ("category_map_path",), "map.txt"),
+    ("--format", "formats", "csv", "json", ("formats",), ["json"]),
+]
+
+
+def run_with_config(tmp_path, monkeypatch, config_text, *flags) -> dict:
+    """run_config of report.json from a run in tmp_path with this config file and flags."""
+    monkeypatch.chdir(tmp_path)
+    write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+    write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+    Path("map.txt").write_text("blurb = TEXT\n", encoding="utf-8")
+    Path("run.cfg").write_text(config_text, encoding="utf-8")
+    code = main(["--gt", "gt", "--pred", "pred", "--config", "run.cfg", "--out", "out", *flags])
+    assert code == 0
+    return json.loads(Path("out/report.json").read_text(encoding="utf-8"))["aggregate"]["run_config"]
+
+
+def default_run_config_with(field, value) -> dict:
+    """The default run_config of an --out run, with one (nested) field set to a value it does not hold."""
+    expected = RunConfig(formats=("json", "csv", "markdown")).to_dict()
+    if field:
+        *outer, name = field
+        holder = expected[outer[0]] if outer else expected
+        assert holder[name] != value
+        holder[name] = value
+    return expected
+
+
 class TestCli:
     def test_markdown_to_stdout(self, tmp_path, capsys):
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
@@ -420,6 +475,18 @@ class TestCli:
         assert cfg["det_tau"] == 0.9  # flag beats config file
         assert cfg["shift_n"] == 1
 
+    @pytest.mark.parametrize("key, raw, field, value", EVERY_SETTING, ids=[row[0] for row in EVERY_SETTING])
+    def test_every_config_key_reaches_run_config(self, tmp_path, monkeypatch, key, raw, field, value):
+        run_config = run_with_config(tmp_path, monkeypatch, f"{key} = {raw}\n")
+        assert run_config == default_run_config_with(field, value)
+
+    @pytest.mark.parametrize("flag, key, file_raw, flag_raw, field, value", EVERY_FLAG,
+                             ids=[row[0] for row in EVERY_FLAG])
+    def test_every_flag_beats_the_config_file(self, tmp_path, monkeypatch,
+                                              flag, key, file_raw, flag_raw, field, value):
+        run_config = run_with_config(tmp_path, monkeypatch, f"{key} = {file_raw}\n", flag, flag_raw)
+        assert run_config == default_run_config_with(field, value)
+
     def test_bad_config_value_exits_one(self, tmp_path):
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
@@ -435,6 +502,19 @@ class TestCli:
         code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
                      "--beta", "nan", "--format", "json"])
         assert code == 1
+
+    def test_beta_with_infinite_square_exits_one(self, tmp_path, capsys):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     "--beta", "1e200", "--format", "json"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "score-eval: configuration error: "
+            "det_beta must be at most about 1.34e154 (its square must be finite), got 1e+200"
+        ]
 
     def test_unknown_config_key_exits_one(self, tmp_path):
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")

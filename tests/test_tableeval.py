@@ -19,7 +19,7 @@ from oracles import (
     tree_distance_by_mappings,
 )
 from score_eval import tableeval
-from score_eval.errors import InvalidThreshold, OverlappingCells
+from score_eval.errors import InvalidThreshold, MalformedInput, OverlappingCells
 from score_eval.ingest import parse_table_html
 from score_eval.tableeval import (
     _CARDINALITY_BONUS,
@@ -53,6 +53,28 @@ QUARTERS = grid(["Q1", "$100K"], ["Q2", "$200K"])
 
 
 class TestNormalizedTable:
+    @pytest.mark.parametrize(
+        "cell",
+        [Cell(0, 0, 0, 1, "a"), Cell(0, 0, 1, 0, "a"), Cell(-1, 0, 1, 1, "a"), Cell(0, -1, 1, 1, "a")],
+        ids=["rowspan-0", "colspan-0", "row-minus-1", "col-minus-1"],
+    )
+    def test_constructors_refuse_bad_geometry(self, cell):
+        for build in (lambda cells: NormalizedTable(tuple(cells)), NormalizedTable.from_cells):
+            with pytest.raises(MalformedInput, match=f"cell 'a' at \\({cell.row},{cell.col}\\)"):
+                build([Cell(1, 1, 1, 1, "b"), cell])
+
+    def test_constructors_refuse_overlaps(self):
+        for build in (lambda cells: NormalizedTable(tuple(cells)), NormalizedTable.from_cells):
+            with pytest.raises(OverlappingCells, match="both cover \\(0, 1\\)"):
+                build([Cell(0, 0, 1, 2, "a"), Cell(0, 1, 1, 1, "b")])
+
+    def test_tables_of_the_same_cells_are_equal(self):
+        cells = [Cell(r, c, 1, 1, f"{r}{c}") for r in range(3) for c in range(3)]
+        reversed_table = NormalizedTable(tuple(reversed(cells)))
+        assert reversed_table == NormalizedTable.from_cells(cells)
+        assert reversed_table.cells == tuple(cells)
+        assert hash(reversed_table) == hash(NormalizedTable(tuple(cells)))
+
     def test_extents(self):
         table = NormalizedTable.from_cells([Cell(0, 0, 2, 3, "a")])
         assert table.n_rows == 2 and table.n_cols == 3
@@ -111,9 +133,15 @@ class TestMatchTables:
             match_tables([], [], tau=0.0)
         with pytest.raises(InvalidThreshold):
             match_tables([], [], beta=0.0)
-        for beta in (float("nan"), float("inf")):
+        for beta in (float("nan"), float("inf"), 1e200):
             with pytest.raises(InvalidThreshold):
                 match_tables([], [], beta=beta)
+
+    def test_tiny_beta_weighs_precision_only(self):
+        # beta * beta underflows to 0, and F_beta reaches its limit, the precision
+        result = match_tables(table_bags([grid(["a"]), grid(["b"])]), table_bags([grid(["a"])]), beta=1e-200)
+        assert result.precision == 0.5 and result.recall == 1.0
+        assert result.f_beta == 0.5
 
     def test_count_bookkeeping(self):
         rng = random.Random(37)
