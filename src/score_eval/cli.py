@@ -36,12 +36,26 @@ def _parse_bool(value: str) -> bool:
     raise MalformedInput(f"expected a boolean, got {value!r}")
 
 
+def _strict(number: Callable[[str], object]) -> Callable[[str], object]:
+    """``number`` (``int`` or ``float``) refusing what it reads but a setting
+    should not: digit-group underscores and non-ASCII digits.  The reader
+    keeps ``number``'s name, which argparse prints for a bad flag value."""
+
+    def read(value: str) -> object:
+        if not value.isascii() or "_" in value:
+            raise ValueError(f"expected an ASCII number without '_', got {value!r}")
+        return number(value)
+
+    read.__name__ = number.__name__
+    return read
+
+
 # Every setting and how a config-file value is read; the flags store
 # under the same names, so the file and the flags meet in one dict.
 _KEYS: dict[str, Callable[[str], object]] = {
-    **dict.fromkeys(FLOAT_FIELDS, float),
-    "shift_n": int,
-    "jobs": int,
+    **dict.fromkeys(FLOAT_FIELDS, _strict(float)),
+    "shift_n": _strict(int),
+    "jobs": _strict(int),
     "case_fold": _parse_bool,
     "strip_punct": _parse_bool,
     "unicode_normalize": str,
@@ -106,13 +120,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--out", help="directory for report.json / pages.csv / summary.md")
     parser.add_argument("--format", dest="formats", help="comma list of output formats (json,csv,markdown)")
-    parser.add_argument("--shift-n", dest="shift_n", type=int, help="max cell shift tolerance")
-    parser.add_argument("--tau", dest="det_tau", type=float, help="table detection similarity threshold")
-    parser.add_argument("--beta", dest="det_beta", type=float, help="detection F-measure beta")
-    parser.add_argument("--diff-epsilon", dest="diff_epsilon", type=float,
+    parser.add_argument("--shift-n", dest="shift_n", type=_KEYS["shift_n"], help="max cell shift tolerance")
+    parser.add_argument("--tau", dest="det_tau", type=_KEYS["det_tau"], help="table detection similarity threshold")
+    parser.add_argument("--beta", dest="det_beta", type=_KEYS["det_beta"], help="detection F-measure beta")
+    parser.add_argument("--diff-epsilon", dest="diff_epsilon", type=_KEYS["diff_epsilon"],
                         help="min adjusted-raw gap for a diff page")
     parser.add_argument("--category-map", dest="category_map", help="label mapping file")
-    parser.add_argument("--jobs", type=int,
+    parser.add_argument("--jobs", type=_KEYS["jobs"],
                         help="accepted for compatibility; pages are evaluated one after another")
     args = parser.parse_args(argv)
 

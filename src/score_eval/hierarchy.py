@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -197,26 +197,34 @@ class ConfusionMatrix:
 
     Rows are ground truth, columns are predictions; the NOMATCH row
     holds spurious predictions and the NOMATCH column holds missed
-    ground-truth elements.
+    ground-truth elements.  Only the nonzero counts are stored, keyed
+    by (GT label index, prediction label index) into ``LABELS``.
     """
 
-    counts: list[list[int]]
+    cells: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @classmethod
     def zeros(cls) -> "ConfusionMatrix":
-        return cls([[0] * len(LABELS) for _ in LABELS])
+        return cls()
+
+    @property
+    def counts(self) -> list[list[int]]:
+        """The dense matrix, one row per GT label and one column per prediction label."""
+        dense = [[0] * len(LABELS) for _ in LABELS]
+        for (i, j), n in self.cells.items():
+            dense[i][j] = n
+        return dense
 
     def add(self, gt_label: str, pred_label: str, n: int = 1) -> None:
-        self.counts[_INDEX[gt_label]][_INDEX[pred_label]] += n
+        key = (_INDEX[gt_label], _INDEX[pred_label])
+        count = self.cells.get(key, 0) + n
+        if count:
+            self.cells[key] = count
+        else:
+            self.cells.pop(key, None)
 
     def nonzero_entries(self) -> dict[tuple[str, str], int]:
-        out = {}
-        for i, gt_label in enumerate(LABELS):
-            for j, pred_label in enumerate(LABELS):
-                n = self.counts[i][j]
-                if n:
-                    out[(gt_label, pred_label)] = n
-        return out
+        return {(LABELS[i], LABELS[j]): n for (i, j), n in sorted(self.cells.items())}
 
     def to_dict(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}
@@ -252,16 +260,19 @@ def consistency_score(matrix: ConfusionMatrix) -> float:
     NOMATCH never gets its own F1; it only contributes false positives
     and false negatives to real categories.  An empty matrix scores 1.
     """
-    counts = matrix.counts
+    row_mass: dict[int, int] = {}
+    col_mass: dict[int, int] = {}
+    for (i, j), n in matrix.cells.items():
+        row_mass[i] = row_mass.get(i, 0) + n
+        col_mass[j] = col_mass.get(j, 0) + n
     scores = []
     for k, _ in enumerate(CATEGORIES):
-        row_mass = sum(counts[k])
-        col_mass = sum(row[k] for row in counts)
-        if row_mass == 0 and col_mass == 0:
+        rows, cols = row_mass.get(k, 0), col_mass.get(k, 0)
+        if rows == 0 and cols == 0:
             continue
-        tp = counts[k][k]
-        fp = col_mass - tp
-        fn = row_mass - tp
+        tp = matrix.cells.get((k, k), 0)
+        fp = cols - tp
+        fn = rows - tp
         denom = 2 * tp + fp + fn
         scores.append(2 * tp / denom if denom else 0.0)
     return math.fsum(scores) / len(scores) if scores else 1.0

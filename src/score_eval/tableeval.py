@@ -13,7 +13,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import InvalidThreshold, MalformedInput, OverlappingCells
 from .textmetrics import DEFAULT_TOKENIZER, TokenizerConfig, bag_similarity, ned, ned_upper_bound, tokenize
@@ -259,18 +259,23 @@ def _axis_score(
     return num / den if den else 1.0
 
 
-def _shift_scores(
+def _best_shift(
     p: NormalizedTable,
     g: NormalizedTable,
-    shifts: Iterable[tuple[int, int]],
+    shifts: Sequence[tuple[int, int]],
     index_gate: float,
     ned_of: Callable[[str, str], float],
-) -> Iterator[tuple[float, float, tuple[int, int]]]:
-    """(content, index, shift) for each GT grid shift, in the order given.
+) -> tuple[float, float, tuple[int, int]]:
+    """(content, index, shift) of the GT grid shift with the least key
+    ``(-(content + index), |d_row| + |d_col|, shift)``.
 
     What no shift changes (flattened axes, occupancy, GT unit positions)
     is built once and each axis score is computed once per delta; NEDs
-    are read from ``ned_of(pred string, GT string)``.
+    are read from ``ned_of(pred string, GT string)``.  The index loops
+    run best first on the bound key ``(-(content + 1.0), ...)`` and stop
+    at the first bound key at or above the best exact key: ``index`` is
+    ``hits / units`` <= 1.0 and rounded addition is monotone, so no
+    shift left unscored can have a smaller exact key.
     """
     p_rows, g_rows = flatten(p, "row"), flatten(g, "row")
     p_cols, g_cols = flatten(p, "col"), flatten(g, "col")
@@ -278,14 +283,25 @@ def _shift_scores(
     col_score = functools.cache(lambda d: _axis_score(p_cols, g_cols, d, ned_of))
     occupied = p.occupancy()
     units = [(r, c, cell.content) for cell in g.cells for r, c in cell.positions()]
+    bounds = []
     for d_row, d_col in shifts:
+        content = max(row_score(d_row), col_score(d_col))
+        bounds.append((-(content + 1.0), abs(d_row) + abs(d_col), (d_row, d_col), content))
+    bounds.sort()
+    best_key, best = None, None
+    for bound, displacement, (d_row, d_col), content in bounds:
+        if best_key is not None and (bound, displacement, (d_row, d_col)) >= best_key:
+            break
         hits = 0
-        for r, c, content in units:
+        for r, c, unit in units:
             pred_cell = occupied.get((r + d_row, c + d_col))
-            if pred_cell is not None and ned_of(pred_cell.content, content) >= index_gate:
+            if pred_cell is not None and ned_of(pred_cell.content, unit) >= index_gate:
                 hits += 1
         index = hits / len(units) if units else 1.0
-        yield max(row_score(d_row), col_score(d_col)), index, (d_row, d_col)
+        key = (-(content + index), displacement, (d_row, d_col))
+        if best_key is None or key < best_key:
+            best_key, best = key, (content, index, (d_row, d_col))
+    return best
 
 
 def cell_alignment(
@@ -303,7 +319,7 @@ def cell_alignment(
     cells whose shifted position is occupied in the prediction by a
     cell whose content clears the gate.
     """
-    content, index, _ = next(_shift_scores(p, g, [shift], index_gate, functools.cache(ned)))
+    content, index, _ = _best_shift(p, g, [shift], index_gate, functools.cache(ned))
     return content, index
 
 
@@ -333,10 +349,7 @@ def _content_index_accuracy(p: NormalizedTable, g: NormalizedTable, n: int, inde
     rows = range(-min(n, max(g.n_rows - 1, 0)), min(n, max(p.n_rows - 1, 0)) + 1)
     cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
     shifts = [(d_row, d_col) for d_row in rows for d_col in cols]
-    content, index, shift = min(
-        _shift_scores(p, g, shifts, index_gate, ned_of),
-        key=lambda s: (-(s[0] + s[1]), abs(s[2][0]) + abs(s[2][1]), s[2]),
-    )
+    content, index, shift = _best_shift(p, g, shifts, index_gate, ned_of)
     return CellAccuracy(content_acc=content, index_acc=index, best_shift=shift)
 
 
@@ -501,16 +514,36 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
       same alignment run on bound costs, as min and rounded addition are
       monotone.  A tr-td bound keeps its ``len(row) + 1.0`` arm: an
       empty row against a td costs 1.0, below ``fold + 1.0``.
+    - Only a diagonal band of the table is filled (Ukkonen's cutoff, as
+      Touzet 2005 applies it to trees).  Every indel costs 1 and changes
+      a forest's size by 1, and matching subtrees of u and v nodes costs
+      at least ``|u - v|``; so with A and B the forests' sizes and
+      ``k = A - B``, a script through the prefix pair (x, y) costs at
+      least the integer ``|x - y| + |k - (x - y)|``.  A pass with
+      threshold t fills the pairs whose bound is at most t and reads
+      every other pair, the ``fd[p][q]`` a subtree match reads included,
+      as inf; ``min(m, base + cost)`` is the same function of its
+      operands whatever they are, so each filled value is at least the
+      full table's, and equal to it where the full table's argmin chain
+      stays in the band.  The chain to the result D, subtree distances
+      included, is fewer than 2**26 rounded additions below 2**26, which
+      move D by far less than one unit from the exact sum of its costs;
+      so a float D <= t rules out every chain pair with bound >= t + 1,
+      and a pass whose result is at most t returns D itself.  Passes
+      start at ``t = max(|k|, 1)`` and double t until one does.
     """
     a_cells = [td for row in a_rows for td in row]
     b_cells = [td for row in b_rows for td in row]
-    lower = [[_cell_cost(a, b, ned_upper_bound) for b in b_cells] for a in a_cells]
+
+    @functools.cache
+    def lower(i: int, j: int) -> float:
+        return _cell_cost(a_cells[i], b_cells[j], ned_upper_bound)
 
     def relax_bound(base: float, m: float, i: int, j: int) -> float:
-        return min(m, base + lower[i][j])
+        return min(m, base + lower(i, j))
 
     def relax(base: float, m: float, i: int, j: int) -> float:
-        if base + lower[i][j] >= m:
+        if base + lower(i, j) >= m:
             return m
         return min(m, base + _cell_cost(a_cells[i], b_cells[j], ned_of))
 
@@ -542,19 +575,41 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
         return out
 
     a_states, b_states = states(a_rows), states(b_rows)
-    fd = [[float(y) for y in range(len(b_states) + 1)]]
-    for xs, x_row, p in a_states:
-        prev, before = fd[-1], fd[p]
-        cur = [prev[0] + 1.0]
-        for y, (ys, y_row, q) in enumerate(b_states):
-            m = min(prev[y + 1] + 1.0, cur[y] + 1.0)
-            base = before[q]
-            if x_row or y_row:
-                cur.append(match(base, m, xs, ys, x_row, y_row))
-            else:
-                cur.append(relax(base, m, xs[0], ys[0]))
-        fd.append(cur)
-    return fd[-1][-1]
+    n_b = len(b_states)
+    k = len(a_states) - n_b
+
+    def banded(t: int) -> float:
+        """The forest table's last value with only the pairs of bound <= t
+        filled; row x keeps its band as (first y, values)."""
+        reach = (t - abs(k)) // 2
+        low_d, high_d = min(0, k) - reach, max(0, k) + reach  # low_d <= x - y <= high_d
+        fd = [(0, [float(y) for y in range(min(n_b, -low_d) + 1)])]
+        for x, (xs, x_row, p) in enumerate(a_states, 1):
+            first = max(0, x - high_d)
+            (up_first, up), (before_first, before) = fd[x - 1], fd[p]
+            cur: list[float] = []
+            left = math.inf
+            for y in range(first, min(n_b, x - low_d) + 1):
+                i = y - up_first
+                m = min(up[i] + 1.0 if i < len(up) else math.inf, left + 1.0)
+                if y:
+                    ys, y_row, q = b_states[y - 1]
+                    j = q - before_first
+                    base = before[j] if 0 <= j < len(before) else math.inf
+                    if x_row or y_row:
+                        m = match(base, m, xs, ys, x_row, y_row)
+                    else:
+                        m = relax(base, m, xs[0], ys[0])
+                cur.append(m)
+                left = m
+            fd.append((first, cur))
+        first, last = fd[-1]
+        return last[n_b - first]
+
+    t = max(abs(k), 1)
+    while (distance := banded(t)) > t:
+        t *= 2
+    return distance
 
 
 def teds(a: TableTree, b: TableTree) -> float:

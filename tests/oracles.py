@@ -6,22 +6,28 @@ algorithmic path than the production code, so shared bugs are unlikely.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from score_eval.errors import MalformedInput
+from score_eval.errors import InvalidThreshold, MalformedInput
 from score_eval.ingest import CoordCell, _collapse_ws, _integer
 from score_eval.tableeval import (
     Cell,
     CellAccuracy,
     NormalizedTable,
     TableTree,
+    _align,
+    _axis_score,
+    _cell_cost,
     _substitution_cost,
+    _Td,
     flatten,
 )
-from score_eval.textmetrics import ned
+from score_eval.textmetrics import ned, ned_upper_bound
 
 
 def edit_distance_recursive(a: str, b: str) -> int:
@@ -375,3 +381,163 @@ def content_index_accuracy_per_shift(
                 best_rank = rank
                 best = (content, index, (d_row, d_col))
     return CellAccuracy(content_acc=best[0], index_acc=best[1], best_shift=best[2])
+
+
+def shift_scores_all(
+    p: NormalizedTable,
+    g: NormalizedTable,
+    shifts: Iterable[tuple[int, int]],
+    index_gate: float,
+    ned_of: Callable[[str, str], float],
+) -> Iterator[tuple[float, float, tuple[int, int]]]:
+    """(content, index, shift) for each GT grid shift, in the order given.
+
+    What no shift changes (flattened axes, occupancy, GT unit positions)
+    is built once and each axis score is computed once per delta; NEDs
+    are read from ``ned_of(pred string, GT string)``.
+    """
+    p_rows, g_rows = flatten(p, "row"), flatten(g, "row")
+    p_cols, g_cols = flatten(p, "col"), flatten(g, "col")
+    row_score = functools.cache(lambda d: _axis_score(p_rows, g_rows, d, ned_of))
+    col_score = functools.cache(lambda d: _axis_score(p_cols, g_cols, d, ned_of))
+    occupied = p.occupancy()
+    units = [(r, c, cell.content) for cell in g.cells for r, c in cell.positions()]
+    for d_row, d_col in shifts:
+        hits = 0
+        for r, c, content in units:
+            pred_cell = occupied.get((r + d_row, c + d_col))
+            if pred_cell is not None and ned_of(pred_cell.content, content) >= index_gate:
+                hits += 1
+        index = hits / len(units) if units else 1.0
+        yield max(row_score(d_row), col_score(d_col)), index, (d_row, d_col)
+
+
+def content_index_accuracy_all_shifts(p: NormalizedTable, g: NormalizedTable, n: int, index_gate: float,
+                                      ned_of: Callable[[str, str], float]) -> CellAccuracy:
+    """``tableeval._content_index_accuracy`` as it was before its best-first
+    search: every shift's index loop runs, and ``min`` picks the best."""
+    if n < 0:
+        raise InvalidThreshold(f"shift bound must be >= 0, got {n}")
+    # A delta at or past the tables' extent leaves no row (column)
+    # overlapping, so it scores no better than delta 0 and loses the
+    # displacement tie.
+    rows = range(-min(n, max(g.n_rows - 1, 0)), min(n, max(p.n_rows - 1, 0)) + 1)
+    cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
+    shifts = [(d_row, d_col) for d_row in rows for d_col in cols]
+    content, index, shift = min(
+        shift_scores_all(p, g, shifts, index_gate, ned_of),
+        key=lambda s: (-(s[0] + s[1]), abs(s[2][0]) + abs(s[2][1]), s[2]),
+    )
+    return CellAccuracy(content_acc=content, index_acc=index, best_shift=shift)
+
+
+def row_distance_full(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td]],
+                      ned_of: Callable[[str, str], float]) -> float:
+    """``tableeval._row_distance`` as it was before its band: every pair of
+    prefixes is filled.  ``tree_edit_distance`` of two table -> tr -> td trees
+    given as rows of tds, bit for bit.
+
+    Zhang-Shasha fills a forest table for every pair of keyroots; on a
+    depth-2 tree one forest table over the row forests, plus the row
+    pairs it reaches, decides the distance.  Why each value is the same
+    float Zhang-Shasha computes:
+
+    - The roots map.  Zhang-Shasha's last step is ``min(D(F, T) + 1,
+      D(S, G) + 1, D(F, G) + 0)`` with F, G the row forests and S, T the
+      whole trees, and its first two arms never go below ``D(F, G)``.
+      Take ``D(F, T)``: its arm that inserts T's root is ``D(F, G) + 1``;
+      the arm that deletes F's rightmost root follows by induction, as
+      rounding is monotone; the arm that maps F's rightmost subtree onto
+      T is at least ``D(F, G)`` in exact arithmetic, so with the + 1 it
+      clears ``D(F, G)`` by a whole unit, far beyond rounding.  The same
+      holds for the two trs of a tr-tr pair and their cells.
+    - A prefix of a row forest in postorder is a run of complete rows,
+      or complete rows followed by the first k cells of a row whose tr
+      is deleted.  At each pair of prefixes the value is the minimum of
+      deleting the rightmost root (+1), inserting it (+1), or matching
+      the two rightmost subtrees at the distance Zhang-Shasha stores for
+      them: td-td ``_cell_cost``; tr-tr the cells' sequence
+      distance; tr-td ``min(len(row) + 1.0, fold + 1.0)``, with ``fold``
+      the row's cells against the one td, grouped as Zhang-Shasha's
+      relabel and descend arms are.  Same operands added in the same
+      order give the same floats.
+    - A match is skipped only when a lower bound on it already reaches
+      the cheaper indel, so the minimum keeps its value.  A td pair's
+      bound is ``_cell_cost`` on ``ned_upper_bound``, never above the cost
+      on ``ned`` in floating point.  A match with a tr is first bounded by
+      the indels every alignment makes (the rows' length difference, or
+      the row's length against a td; integers, so exact), then by the
+      same alignment run on bound costs, as min and rounded addition are
+      monotone.  A tr-td bound keeps its ``len(row) + 1.0`` arm: an
+      empty row against a td costs 1.0, below ``fold + 1.0``.
+    """
+    a_cells = [td for row in a_rows for td in row]
+    b_cells = [td for row in b_rows for td in row]
+    lower = [[_cell_cost(a, b, ned_upper_bound) for b in b_cells] for a in a_cells]
+
+    def relax_bound(base: float, m: float, i: int, j: int) -> float:
+        return min(m, base + lower[i][j])
+
+    def relax(base: float, m: float, i: int, j: int) -> float:
+        if base + lower[i][j] >= m:
+            return m
+        return min(m, base + _cell_cost(a_cells[i], b_cells[j], ned_of))
+
+    def subtree(xs: list[int], ys: list[int], x_row: bool, y_row: bool,
+                step: Callable[[float, float, int, int], float]) -> float:
+        distance = _align(xs, ys, step)
+        if x_row == y_row:
+            return distance
+        return min((len(xs) if x_row else len(ys)) + 1.0, distance + 1.0)
+
+    def match(base: float, m: float, xs: list[int], ys: list[int], x_row: bool, y_row: bool) -> float:
+        """``min(m, base + distance)`` for two subtrees of which one is a tr."""
+        floor = abs(len(xs) - len(ys)) if x_row == y_row else len(xs) if x_row else len(ys)
+        if base + floor >= m or base + subtree(xs, ys, x_row, y_row, relax_bound) >= m:
+            return m
+        return min(m, base + subtree(xs, ys, x_row, y_row, relax))
+
+    def states(rows: Sequence[Sequence[_Td]]) -> list[tuple[list[int], bool, int]]:
+        """Per postorder node: its subtree's cells, whether it is a tr, and
+        the prefix left once that subtree is removed."""
+        out: list[tuple[list[int], bool, int]] = []
+        cell = 0
+        for row in rows:
+            start = len(out)
+            for _ in row:
+                out.append(([cell], False, len(out)))
+                cell += 1
+            out.append((list(range(cell - len(row), cell)), True, start))
+        return out
+
+    a_states, b_states = states(a_rows), states(b_rows)
+    fd = [[float(y) for y in range(len(b_states) + 1)]]
+    for xs, x_row, p in a_states:
+        prev, before = fd[-1], fd[p]
+        cur = [prev[0] + 1.0]
+        for y, (ys, y_row, q) in enumerate(b_states):
+            m = min(prev[y + 1] + 1.0, cur[y] + 1.0)
+            base = before[q]
+            if x_row or y_row:
+                cur.append(match(base, m, xs, ys, x_row, y_row))
+            else:
+                cur.append(relax(base, m, xs[0], ys[0]))
+        fd.append(cur)
+    return fd[-1][-1]
+
+
+def consistency_score_dense(counts: Sequence[Sequence[int]]) -> float:
+    """``hierarchy.consistency_score`` as it was on the dense matrix:
+    row and column masses summed over every count."""
+    scores = []
+    for k in range(len(counts) - 1):  # the last label is NOMATCH
+        row_mass = sum(counts[k])
+        col_mass = sum(row[k] for row in counts)
+        if row_mass == 0 and col_mass == 0:
+            continue
+        tp = counts[k][k]
+        fp = col_mass - tp
+        fn = row_mass - tp
+        denom = 2 * tp + fp + fn
+        scores.append(2 * tp / denom if denom else 0.0)
+    return math.fsum(scores) / len(scores) if scores else 1.0

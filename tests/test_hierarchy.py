@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from oracles import consistency_score_dense
 from score_eval import hierarchy
 from score_eval.errors import InvalidThreshold, MalformedInput
 from score_eval.hierarchy import (
     CATEGORIES,
+    LABELS,
     NOMATCH,
     CategoryMap,
     ConfusionMatrix,
@@ -178,6 +180,35 @@ class TestBuildConfusion:
         m_a = build_confusion(match_elements(gt_a, pred_a), gt_a, pred_a, CategoryMap(base))
         m_b = build_confusion(match_elements(gt_b, pred_b), gt_b, pred_b, CategoryMap(renamed))
         assert m_a.counts == m_b.counts
+
+
+class TestConfusionStorage:
+    def test_only_nonzero_cells_are_stored(self):
+        matrix = ConfusionMatrix.zeros()
+        matrix.add("TEXT", NOMATCH, 2)
+        matrix.add(NOMATCH, "TITLE")
+        matrix.add("TITLE", "TITLE")
+        matrix.add("TITLE", "TITLE", -1)
+        assert matrix.cells == {(1, 10): 2, (10, 0): 1}
+        assert list(matrix.nonzero_entries().items()) == [(("TEXT", NOMATCH), 2), ((NOMATCH, "TITLE"), 1)]
+        dense = [[0] * len(LABELS) for _ in LABELS]
+        dense[1][10], dense[10][0] = 2, 1
+        assert matrix.counts == dense
+
+    def test_same_entries_and_score_as_the_dense_matrix(self):
+        rng = random.Random(101)
+        for _ in range(2_000):
+            matrix = ConfusionMatrix.zeros()
+            for _ in range(rng.randint(0, 12)):
+                matrix.add(rng.choice(LABELS), rng.choice(LABELS), rng.randint(1, 3))
+            counts = matrix.counts
+            assert list(matrix.nonzero_entries().items()) == [
+                ((gt, pred), counts[i][j])
+                for i, gt in enumerate(LABELS)
+                for j, pred in enumerate(LABELS)
+                if counts[i][j]
+            ]
+            assert consistency_score(matrix) == consistency_score_dense(counts)
 
 
 class TestConsistencyScore:

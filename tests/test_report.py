@@ -496,6 +496,35 @@ class TestCli:
                      "--config", str(config)])
         assert code == 1
 
+    @pytest.mark.parametrize("line", ["shift_n = 1_0", "det_tau = 0.5_5", "jobs = \u0663"],
+                             ids=["int-underscore", "float-underscore", "arabic-indic-digit"])
+    def test_config_number_must_be_plain_ascii(self, tmp_path, capsys, line):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     "--config", str(config), "--format", "json"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        raw = line.split(" = ")[1]
+        assert captured.err.splitlines() == [
+            f"score-eval: configuration error: expected an ASCII number without '_', got {raw!r}"
+        ]
+
+    @pytest.mark.parametrize("flag, raw, kind", [("--shift-n", "1_0", "int"), ("--jobs", "\u0663", "int"),
+                                                 ("--tau", "0.5_5", "float")])
+    def test_flag_number_must_be_plain_ascii(self, tmp_path, capsys, flag, raw, kind):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"), flag, raw])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: score-eval")
+        assert err[-1] == f"score-eval: error: argument {flag}: invalid {kind} value: {raw!r}"
+
     def test_non_finite_beta_exits_one(self, tmp_path):
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")

@@ -1,5 +1,7 @@
 import functools
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -14,13 +16,16 @@ from conftest import (
 from oracles import (
     best_assignment,
     cell_alignment_per_shift,
+    content_index_accuracy_all_shifts,
     content_index_accuracy_per_shift,
     f_measure,
+    row_distance_full,
+    shift_scores_all,
     tree_distance_by_mappings,
 )
 from score_eval import tableeval
 from score_eval.errors import InvalidThreshold, MalformedInput, OverlappingCells
-from score_eval.ingest import parse_table_html
+from score_eval.ingest import CoordCell, normalize_coord_cells, parse_table_html
 from score_eval.tableeval import (
     _CARDINALITY_BONUS,
     Cell,
@@ -332,22 +337,47 @@ class TestContentIndexAccuracy:
         assert pairs and len(pairs) == len(set(pairs))
 
     def test_search_stops_at_the_table_extent(self, monkeypatch):
-        scored = []
-        shift_scores = tableeval._shift_scores
+        considered = []
+        best_shift = tableeval._best_shift
 
-        def counting_shift_scores(p, g, shifts, index_gate, ned_of):
-            shifts = list(shifts)
-            scored.extend(shifts)
-            return shift_scores(p, g, shifts, index_gate, ned_of)
+        def counting_best_shift(p, g, shifts, index_gate, ned_of):
+            considered.extend(shifts)
+            return best_shift(p, g, shifts, index_gate, ned_of)
 
-        monkeypatch.setattr(tableeval, "_shift_scores", counting_shift_scores)
+        monkeypatch.setattr(tableeval, "_best_shift", counting_best_shift)
         pred = grid(["a", "b", "c"], ["d", "e", "f"])
         gt = translate_table(grid(["a", "b"], ["d", "x"], ["g", "h"]), 1, 0)
         acc = content_index_accuracy(pred, gt, 10**6)
         # GT rows 0-3 overlap prediction rows 0-1 for d_row in -3..1; columns -1..2
-        assert len(scored) == len(set(scored)) == 5 * 4
+        assert len(considered) == len(set(considered)) == 5 * 4
         assert acc == content_index_accuracy_per_shift(pred, gt, 6)
         assert acc.best_shift == (-1, 0)
+
+    def test_best_first_search_on_tied_keys(self):
+        # (0, 0), (-1, 0) and (1, 0) all read content 0.5; the last two tie
+        # on the bound key but for the shift, and only (1, 0) lands "a" on
+        # "a", so the search scores past the first two bound keys
+        gt = grid(["a"])
+        pred = NormalizedTable.from_cells([Cell(0, 1, 1, 1, "b"), Cell(1, 0, 1, 1, "a")])
+        assert content_index_accuracy(pred, gt, 1, 1.0) == CellAccuracy(0.5, 1.0, (1, 0))
+        rng = random.Random(97)
+        bound_ties = exact_ties = past_first = 0
+        for _ in range(3_000):
+            p, g = rand_tiny_table(rng), rand_tiny_table(rng)
+            n, gate = rng.randint(0, 2), rng.choice((0.0, 0.5, 1.0))
+            want = content_index_accuracy_all_shifts(p, g, n, gate, functools.cache(ned))
+            assert tableeval._content_index_accuracy(p, g, n, gate, functools.cache(ned)) == want, (p, g, n, gate)
+            rows = range(-min(n, max(g.n_rows - 1, 0)), min(n, max(p.n_rows - 1, 0)) + 1)
+            cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
+            scores = list(shift_scores_all(p, g, [(r, c) for r in rows for c in cols], gate, ned))
+            exact = sorted((-(c + i), abs(s[0]) + abs(s[1]), s) for c, i, s in scores)
+            # every shift whose bound key is below the best exact key is scored
+            scored = [b[:2] for b in sorted((-(c + 1.0), abs(s[0]) + abs(s[1]), s) for c, _, s in scores)
+                      if b < exact[0]]
+            bound_ties += len(scored) != len(set(scored))
+            exact_ties += len(exact) > 1 and exact[0][:2] == exact[1][:2]
+            past_first += len(scored) > 1
+        assert bound_ties >= 600 and exact_ties >= 40 and past_first >= 900, (bound_ties, exact_ties, past_first)
 
     def test_matches_per_shift_oracle(self):
         rng = random.Random(61)
@@ -365,6 +395,16 @@ class TestContentIndexAccuracy:
                 want = cell_alignment_per_shift(p, g, shift, 0.5)
                 assert cell_alignment(p, g, shift, 0.5) == want, (p, g, shift)
         assert moved >= 2_000
+
+
+def rand_tiny_table(rng: random.Random) -> NormalizedTable:
+    """A grid of up to 2x3 cells over "a", "b" and "", so shifts tie often."""
+    return NormalizedTable.from_cells([
+        Cell(r, c, 1, 1, rng.choice(("a", "b", "")))
+        for r in range(rng.randint(0, 2))
+        for c in range(rng.randint(1, 3))
+        if rng.random() < 0.8
+    ])
 
 
 def typo(rng: random.Random, text: str) -> str:
@@ -583,6 +623,50 @@ class TestTeds:
             assert tableeval._row_distance(a_rows, b_rows, ned) == want, (trial, a, b)
             assert teds(a, b) == max(0.0, 1.0 - want / max(a.size(), b.size()))
 
+    @pytest.mark.parametrize("t", [1, 2, 4, 8])
+    def test_band_edges_match_the_full_table(self, t):
+        # 4x4 cells sharing no letter: a respanned, dropped or added cell
+        # costs 1, a typo in "iiii" 0.25.  Each prediction puts the
+        # distance at a pass's threshold t or just above it, with k = 0
+        # (first pass 1) or k = -t (first pass t), so the pass at t
+        # accepts it or must double.
+        gt = [[(c * 4, 1, 1) for c in "abcd"], [(c * 4, 1, 1) for c in "efgh"],
+              [(c * 4, 1, 1) for c in "ijkl"], [(c * 4, 1, 1) for c in "mnop"]]
+
+        def respanned(n: int) -> list:
+            return [[(content, 1, 2 if 4 * r + c < n else 1) for c, (content, _, _) in enumerate(row)]
+                    for r, row in enumerate(gt)]
+
+        def dropped(n: int) -> list:  # n cells off the rows' ends; every tr stays
+            if n < 4:
+                return gt[:3] + [gt[3][:4 - n]]
+            return [row[:4 - n // 4] for row in gt]
+
+        def moved(n: int) -> list:  # n / 2 cells off the front, n / 2 new ones at the end
+            return [gt[0][n // 2:]] + gt[1:3] + [gt[3] + [(c * 4, 1, 1) for c in "qrst"[:n // 2]]]
+
+        def with_typo(rows: list) -> list:
+            rows = [list(row) for row in rows]
+            rows[2][0] = ("iiix", 1, 1)
+            return rows
+
+        cases = [
+            (respanned(t), float(t)),
+            (with_typo(respanned(t)), t + 0.25),
+            (with_typo(respanned(t - 1)), t - 0.75),
+            (dropped(t), float(t)),
+            (with_typo(dropped(t)), t + 0.25),
+        ]
+        if t > 1:
+            cases.append((moved(t), float(t)))
+        for pred, want in cases:
+            a, b = rows_tree(pred), rows_tree(gt)
+            a_rows, b_rows = tableeval._table_rows(a), tableeval._table_rows(b)
+            assert tree_edit_distance(a, b) == want, (pred, want)
+            assert row_distance_full(a_rows, b_rows, ned) == want
+            assert tableeval._row_distance(a_rows, b_rows, ned) == want
+            assert tableeval._row_distance(b_rows, a_rows, ned) == tree_edit_distance(b, a)
+
     def test_single_cell_vs_multi_cell_ordering(self):
         # flattened one-cell prediction scores much worse on structure
         gt = grid(["a1"], ["b2"], ["c3"])
@@ -650,3 +734,37 @@ class TestTableTeds:
             assert build_table_tree(rp) == build_table_tree(p)
             assert table_teds(rp, rg) == table_teds(p, g)
             self.check(rp, rg)
+
+    @staticmethod
+    def far_off(n: int, content: str) -> NormalizedTable:
+        """One coordinate cell at row n: n empty rows above it."""
+        return normalize_coord_cells([CoordCell(x=0, y=n, content=content)])
+
+    def test_far_off_cell_matches_zhang_shasha(self):
+        for n in (0, 1, 2, 5, 17, 40):
+            p, g = self.far_off(n, "a b"), self.far_off(n, "a c")
+            a, b = build_table_tree(p), build_table_tree(g)
+            assert table_teds(p, g) == max(0.0, 1.0 - tree_edit_distance(a, b) / max(a.size(), b.size()))
+
+    def test_far_off_cell_fills_a_band(self):
+        # Counted by name through a profile hook, as the row DP's cell
+        # steps are nested functions.  ``_align`` alone cannot tell: the
+        # full table also aligns only the diagonal's tr pairs, as the indel
+        # floor cuts the others, but it makes a ``match`` step for each of
+        # its (n + 2) ** 2 pairs.
+        calls: Counter[str] = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == tableeval.__file__:
+                calls[frame.f_code.co_name] += 1
+
+        n = 2000
+        p, g = self.far_off(n, "a b"), self.far_off(n, "a c")
+        sys.setprofile(profile)
+        try:
+            similarity = table_teds(p, g)
+        finally:
+            sys.setprofile(None)
+        assert similarity == 1.0 - (1.0 - ned("a b", "a c")) / (n + 3)
+        assert calls["_align"] <= 2 * (n + 2), calls
+        assert calls["match"] + calls["relax"] <= 2 * (n + 2), calls
