@@ -76,7 +76,10 @@ def _load_config_file(path: Path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise MalformedInput(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _KEYS[key](raw)
+        try:
+            values[key] = _KEYS[key](raw)
+        except (ValueError, ScoreEvalError) as exc:
+            raise MalformedInput(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 

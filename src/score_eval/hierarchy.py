@@ -191,7 +191,7 @@ def match_prepared(
     return sorted((i, j, -key[0]) for key, i, j in greedy_one_to_one(seeds, exact_key))
 
 
-@dataclass
+@dataclass(slots=True)
 class ConfusionMatrix:
     """(K+1) x (K+1) counts over functional categories plus NOMATCH.
 

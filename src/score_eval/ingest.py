@@ -35,7 +35,7 @@ def _integer(value) -> int:
     return number
 
 
-@dataclass
+@dataclass(slots=True)
 class Element:
     """One parsed unit of a page."""
 
@@ -45,7 +45,7 @@ class Element:
     source_order: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class DocumentPage:
     """Ordered elements of a single page, identified by file stem."""
 
@@ -64,7 +64,7 @@ class CoordCell:
     content: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class PagePair:
     """Ground-truth and prediction pages that share a page id."""
 

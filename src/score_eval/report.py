@@ -99,7 +99,7 @@ class RunConfig:
         return {**dataclasses.asdict(self), "formats": list(self.formats)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableScores:
     """Per-page table metrics; accuracy means are per ground-truth table."""
 
@@ -109,7 +109,7 @@ class TableScores:
     teds: Optional[float]
 
 
-@dataclass
+@dataclass(slots=True)
 class PageReport:
     page_id: str
     fidelity: FidelityScores

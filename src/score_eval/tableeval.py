@@ -10,6 +10,7 @@ the larger tree.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .textmetrics import DEFAULT_TOKENIZER, TokenizerConfig, bag_similarity, ned
 _CARDINALITY_BONUS = 1e-9
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Cell:
     """One table cell anchored at (row, col), spanning a grid rectangle."""
 
@@ -40,7 +41,7 @@ class Cell:
                 yield r, c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedTable:
     """Canonical cell-tuple representation shared by all table parsers.
 
@@ -95,7 +96,7 @@ class NormalizedTable:
         return " ".join(c.content for c in self.cells if c.content)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionResult:
     """Content-based table detection outcome for one page."""
 
@@ -108,7 +109,7 @@ class DetectionResult:
     pairs: tuple[tuple[int, int, float], ...]  # (pred index, gt index, similarity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellAccuracy:
     """Shift-tolerant cell scores and the shift that attained them."""
 
@@ -270,28 +271,65 @@ def _best_shift(
     ``(-(content + index), |d_row| + |d_col|, shift)``.
 
     What no shift changes (flattened axes, occupancy, GT unit positions)
-    is built once and each axis score is computed once per delta; NEDs
-    are read from ``ned_of(pred string, GT string)``.  The index loops
-    run best first on the bound key ``(-(content + 1.0), ...)`` and stop
-    at the first bound key at or above the best exact key: ``index`` is
-    ``hits / units`` <= 1.0 and rounded addition is monotone, so no
-    shift left unscored can have a smaller exact key.
+    is built once; NEDs are read from ``ned_of(pred string, GT string)``.
+    One heap holds every shift under a bound key ``(-(c + 1.0), ...)``,
+    with ``c`` the shift's content or an upper bound on it, and the
+    search stops at the first bound key at or above the best exact key.
+    Why no shift left in the heap can have a smaller exact key:
+
+    - An axis delta is first scored on ``ned_upper_bound``, which is at
+      least ``ned`` in floating point; both scores sum the same strings
+      in the same order over the same weights, and rounded
+      multiplication, addition and division are monotone, so the bound
+      score is at least the exact one.  A delta is scored exactly only
+      when a shift using it reaches the top with its content inexact;
+      the shift is then pushed back.
+    - Content is ``max(row score, column score)``.  It is exact once
+      both axes are, or once one axis is exact at E and the other's
+      bound is at most E, where ``max`` gives E.  The index loop runs
+      only on a shift at the top whose content is exact and whose key
+      is up to date.
+    - ``index`` is ``hits / units`` <= 1.0, and rounded addition is
+      monotone, so a bound key is never above the exact key; keys only
+      rise as axes are scored, and a stale one is pushed back.
     """
     p_rows, g_rows = flatten(p, "row"), flatten(g, "row")
     p_cols, g_cols = flatten(p, "col"), flatten(g, "col")
-    row_score = functools.cache(lambda d: _axis_score(p_rows, g_rows, d, ned_of))
-    col_score = functools.cache(lambda d: _axis_score(p_cols, g_cols, d, ned_of))
+    strings = ((p_rows, g_rows), (p_cols, g_cols))
+    bound = functools.cache(lambda axis, d: _axis_score(*strings[axis], d, ned_upper_bound))
+    exact: dict[tuple[int, int], float] = {}  # (axis, delta) -> axis score
+
+    def content_of(shift: tuple[int, int]) -> tuple[float, Optional[int]]:
+        """The shift's content, or an upper bound on it, and the axis
+        (0 rows, 1 columns) to score exactly next; None once exact."""
+        known = [exact.get((a, shift[a])) for a in (0, 1)]
+        if None not in known:
+            return max(known), None
+        limit = [bound(a, shift[a]) if known[a] is None else known[a] for a in (0, 1)]
+        axis = max((a for a in (0, 1) if known[a] is None), key=limit.__getitem__)
+        other = known[1 - axis]
+        if other is not None and limit[axis] <= other:
+            return other, None
+        return max(limit), axis
+
     occupied = p.occupancy()
     units = [(r, c, cell.content) for cell in g.cells for r, c in cell.positions()]
-    bounds = []
-    for d_row, d_col in shifts:
-        content = max(row_score(d_row), col_score(d_col))
-        bounds.append((-(content + 1.0), abs(d_row) + abs(d_col), (d_row, d_col), content))
-    bounds.sort()
+    heap = [(-(content_of(shift)[0] + 1.0), abs(shift[0]) + abs(shift[1]), shift) for shift in shifts]
+    heapq.heapify(heap)
     best_key, best = None, None
-    for bound, displacement, (d_row, d_col), content in bounds:
-        if best_key is not None and (bound, displacement, (d_row, d_col)) >= best_key:
-            break
+    while heap and (best_key is None or heap[0] < best_key):
+        key = heapq.heappop(heap)
+        _, displacement, (d_row, d_col) = key
+        content, axis = content_of((d_row, d_col))
+        fresh = (-(content + 1.0), displacement, (d_row, d_col))
+        if fresh != key:  # an axis was scored since this entry was pushed
+            heapq.heappush(heap, fresh)
+            continue
+        if axis is not None:
+            delta = (d_row, d_col)[axis]
+            exact[axis, delta] = _axis_score(*strings[axis], delta, ned_of)
+            heapq.heappush(heap, key)
+            continue
         hits = 0
         for r, c, unit in units:
             pred_cell = occupied.get((r + d_row, c + d_col))
@@ -547,19 +585,23 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
             return m
         return min(m, base + _cell_cost(a_cells[i], b_cells[j], ned_of))
 
-    def subtree(xs: list[int], ys: list[int], x_row: bool, y_row: bool,
-                step: Callable[[float, float, int, int], float]) -> float:
-        distance = _align(xs, ys, step)
+    @functools.cache
+    def subtree(x: int, y: int, exact: bool) -> float:
+        """The distance of a-state x's subtree to b-state y's, on exact or
+        bound cell costs; kept across the band passes."""
+        (xs, x_row, _), (ys, y_row, _) = a_states[x], b_states[y]
+        distance = _align(xs, ys, relax if exact else relax_bound)
         if x_row == y_row:
             return distance
         return min((len(xs) if x_row else len(ys)) + 1.0, distance + 1.0)
 
-    def match(base: float, m: float, xs: list[int], ys: list[int], x_row: bool, y_row: bool) -> float:
+    def match(base: float, m: float, x: int, y: int) -> float:
         """``min(m, base + distance)`` for two subtrees of which one is a tr."""
+        (xs, x_row, _), (ys, y_row, _) = a_states[x], b_states[y]
         floor = abs(len(xs) - len(ys)) if x_row == y_row else len(xs) if x_row else len(ys)
-        if base + floor >= m or base + subtree(xs, ys, x_row, y_row, relax_bound) >= m:
+        if base + floor >= m or base + subtree(x, y, False) >= m:
             return m
-        return min(m, base + subtree(xs, ys, x_row, y_row, relax))
+        return min(m, base + subtree(x, y, True))
 
     def states(rows: Sequence[Sequence[_Td]]) -> list[tuple[list[int], bool, int]]:
         """Per postorder node: its subtree's cells, whether it is a tr, and
@@ -597,7 +639,7 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
                     j = q - before_first
                     base = before[j] if 0 <= j < len(before) else math.inf
                     if x_row or y_row:
-                        m = match(base, m, xs, ys, x_row, y_row)
+                        m = match(base, m, x - 1, y - 1)
                     else:
                         m = relax(base, m, xs[0], ys[0])
                 cur.append(m)

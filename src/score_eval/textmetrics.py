@@ -185,7 +185,7 @@ def bag_similarity(a: Counter[str], b: Counter[str]) -> float:
     return 2.0 * (a & b).total() / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FidelityScores:
     """Per-page content fidelity vector.
 

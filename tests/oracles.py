@@ -431,6 +431,53 @@ def content_index_accuracy_all_shifts(p: NormalizedTable, g: NormalizedTable, n:
     return CellAccuracy(content_acc=content, index_acc=index, best_shift=shift)
 
 
+def best_shift_eager(
+    p: NormalizedTable,
+    g: NormalizedTable,
+    shifts: Sequence[tuple[int, int]],
+    index_gate: float,
+    ned_of: Callable[[str, str], float],
+) -> tuple[float, float, tuple[int, int]]:
+    """``tableeval._best_shift`` as it was before its lazy axis scores: every
+    delta's axis score is computed exactly before the first index loop.
+    (content, index, shift) of the GT grid shift with the least key
+    ``(-(content + index), |d_row| + |d_col|, shift)``.
+
+    What no shift changes (flattened axes, occupancy, GT unit positions)
+    is built once and each axis score is computed once per delta; NEDs
+    are read from ``ned_of(pred string, GT string)``.  The index loops
+    run best first on the bound key ``(-(content + 1.0), ...)`` and stop
+    at the first bound key at or above the best exact key: ``index`` is
+    ``hits / units`` <= 1.0 and rounded addition is monotone, so no
+    shift left unscored can have a smaller exact key.
+    """
+    p_rows, g_rows = flatten(p, "row"), flatten(g, "row")
+    p_cols, g_cols = flatten(p, "col"), flatten(g, "col")
+    row_score = functools.cache(lambda d: _axis_score(p_rows, g_rows, d, ned_of))
+    col_score = functools.cache(lambda d: _axis_score(p_cols, g_cols, d, ned_of))
+    occupied = p.occupancy()
+    units = [(r, c, cell.content) for cell in g.cells for r, c in cell.positions()]
+    bounds = []
+    for d_row, d_col in shifts:
+        content = max(row_score(d_row), col_score(d_col))
+        bounds.append((-(content + 1.0), abs(d_row) + abs(d_col), (d_row, d_col), content))
+    bounds.sort()
+    best_key, best = None, None
+    for bound, displacement, (d_row, d_col), content in bounds:
+        if best_key is not None and (bound, displacement, (d_row, d_col)) >= best_key:
+            break
+        hits = 0
+        for r, c, unit in units:
+            pred_cell = occupied.get((r + d_row, c + d_col))
+            if pred_cell is not None and ned_of(pred_cell.content, unit) >= index_gate:
+                hits += 1
+        index = hits / len(units) if units else 1.0
+        key = (-(content + index), displacement, (d_row, d_col))
+        if best_key is None or key < best_key:
+            best_key, best = key, (content, index, (d_row, d_col))
+    return best
+
+
 def row_distance_full(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td]],
                       ned_of: Callable[[str, str], float]) -> float:
     """``tableeval._row_distance`` as it was before its band: every pair of

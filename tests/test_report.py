@@ -508,9 +508,26 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        raw = line.split(" = ")[1]
+        key, raw = line.split(" = ")
         assert captured.err.splitlines() == [
-            f"score-eval: configuration error: expected an ASCII number without '_', got {raw!r}"
+            f"score-eval: configuration error: {config}:1: {key}: expected an ASCII number without '_', got {raw!r}"
+        ]
+
+    @pytest.mark.parametrize("line, reason", [
+        ("det_tau = x", "could not convert string to float: 'x'"),
+        ("shift_n = 1_0", "expected an ASCII number without '_', got '1_0'"),
+        ("case_fold = maybe", "expected a boolean, got 'maybe'"),
+    ], ids=["float", "int-underscore", "bool"])
+    def test_config_value_error_names_its_line(self, tmp_path, capsys, line, reason):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\n\n{line}\n", encoding="utf-8")
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"), "--config", str(config)])
+        assert code == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"score-eval: configuration error: {config}:3: {key}: {reason}"
         ]
 
     @pytest.mark.parametrize("flag, raw, kind", [("--shift-n", "1_0", "int"), ("--jobs", "\u0663", "int"),

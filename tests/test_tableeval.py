@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from conftest import (
     rand_cell_content,
     rand_grid_table,
@@ -15,6 +16,7 @@ from conftest import (
 )
 from oracles import (
     best_assignment,
+    best_shift_eager,
     cell_alignment_per_shift,
     content_index_accuracy_all_shifts,
     content_index_accuracy_per_shift,
@@ -42,7 +44,7 @@ from score_eval.tableeval import (
     teds,
     tree_edit_distance,
 )
-from score_eval.textmetrics import ned
+from score_eval.textmetrics import ned, ned_upper_bound
 
 
 def grid(*rows) -> NormalizedTable:
@@ -369,7 +371,10 @@ class TestContentIndexAccuracy:
             assert tableeval._content_index_accuracy(p, g, n, gate, functools.cache(ned)) == want, (p, g, n, gate)
             rows = range(-min(n, max(g.n_rows - 1, 0)), min(n, max(p.n_rows - 1, 0)) + 1)
             cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
-            scores = list(shift_scores_all(p, g, [(r, c) for r in rows for c in cols], gate, ned))
+            shifts = [(r, c) for r in rows for c in cols]
+            want = best_shift_eager(p, g, shifts, gate, functools.cache(ned))
+            assert tableeval._best_shift(p, g, shifts, gate, functools.cache(ned)) == want, (p, g, n, gate)
+            scores = list(shift_scores_all(p, g, shifts, gate, ned))
             exact = sorted((-(c + i), abs(s[0]) + abs(s[1]), s) for c, i, s in scores)
             # every shift whose bound key is below the best exact key is scored
             scored = [b[:2] for b in sorted((-(c + 1.0), abs(s[0]) + abs(s[1]), s) for c, _, s in scores)
@@ -389,12 +394,80 @@ class TestContentIndexAccuracy:
                 for gate in (0.0, 0.5, 1.0):
                     acc = content_index_accuracy(p, g, n, gate)
                     assert acc == content_index_accuracy_per_shift(p, g, n, gate), (p, g, n, gate)
+                    eager = best_shift_eager(p, g, in_extent_shifts(p, g, n), gate, functools.cache(ned))
+                    assert (acc.content_acc, acc.index_acc, acc.best_shift) == eager, (p, g, n, gate)
                     cases += 1
                     moved += acc.best_shift != (0, 0)
             for shift in ((0, 0), (1, 2), (-1, 0), (-2, 1)):
                 want = cell_alignment_per_shift(p, g, shift, 0.5)
                 assert cell_alignment(p, g, shift, 0.5) == want, (p, g, shift)
         assert moved >= 2_000
+
+
+class TestLazyAxisScores:
+    """``_best_shift`` scores an axis delta exactly only when it can decide a shift."""
+
+    @staticmethod
+    def count_exact_axis_scores(monkeypatch) -> list:
+        exact = []
+        axis_score = tableeval._axis_score
+
+        def counting_axis_score(p_strings, g_strings, delta, ned_of):
+            if ned_of is not ned_upper_bound:
+                exact.append(delta)
+            return axis_score(p_strings, g_strings, delta, ned_of)
+
+        monkeypatch.setattr(tableeval, "_axis_score", counting_axis_score)
+        return exact
+
+    def test_bound_axis_score_is_at_least_exact(self):
+        rng = random.Random(103)
+        alphabet = ["", "a", "b", "ab", "ba", "abc", "\u00e4\u00f6", "\u20ac\u20ac\u20ac", "\u6f22\u5b57", "\U0001f600", " "]
+        for _ in range(10_000):
+            p_strings, g_strings = ([rng.choice(alphabet) + rng.choice(alphabet) for _ in range(rng.randint(0, 6))]
+                                    for _ in "pg")
+            for delta in range(-len(g_strings) - 1, len(p_strings) + 2):
+                exact = tableeval._axis_score(p_strings, g_strings, delta, ned)
+                bound = tableeval._axis_score(p_strings, g_strings, delta, ned_upper_bound)
+                assert bound >= exact, (p_strings, g_strings, delta)
+
+    @pytest.mark.parametrize("table", [
+        grid(["alpha", "be", "gamma"]),
+        grid(["alpha"], ["be"], ["gamma"]),
+        grid(["same"]),
+    ], ids=["one-row", "one-column", "one-cell"])
+    def test_one_axis_bound_equal_to_the_other_exact(self, monkeypatch, table):
+        # identical tables: the first axis scored is exact at 1.0, and the
+        # other axis's bound at delta 0 is also 1.0, so content is exact
+        # without scoring it
+        exact = self.count_exact_axis_scores(monkeypatch)
+        for n in (0, 1, 2):
+            exact.clear()
+            shifts = in_extent_shifts(table, table, n)
+            got = tableeval._best_shift(table, table, shifts, 0.5, functools.cache(ned))
+            assert got == best_shift_eager(table, table, shifts, 0.5, functools.cache(ned)) == (1.0, 1.0, (0, 0))
+            assert exact == [0]
+
+    def test_typo_scores_two_axis_deltas(self, monkeypatch):
+        gt = grid(*[[f"r{r}c{c}" for c in range(4)] for r in range(8)])
+        pred = grid(*[["r3x2" if (r, c) == (3, 2) else f"r{r}c{c}" for c in range(4)] for r in range(8)])
+        shifts = in_extent_shifts(pred, gt, 2)
+        eager_exact = []
+        monkeypatch.setattr(oracles, "_axis_score",
+                            lambda *args: eager_exact.append(args[2]) or tableeval._axis_score(*args))
+        want = best_shift_eager(pred, gt, shifts, 0.5, functools.cache(ned))
+        assert len(eager_exact) == 10  # every row and column delta in -2..2
+        exact = self.count_exact_axis_scores(monkeypatch)
+        assert tableeval._best_shift(pred, gt, shifts, 0.5, functools.cache(ned)) == want
+        assert want[2] == (0, 0) and want[1] == 1.0
+        assert exact == [0, 0]  # delta 0 of the rows, then of the columns
+
+
+def in_extent_shifts(p: NormalizedTable, g: NormalizedTable, n: int) -> list[tuple[int, int]]:
+    """The shifts ``content_index_accuracy`` hands to ``_best_shift``."""
+    rows = range(-min(n, max(g.n_rows - 1, 0)), min(n, max(p.n_rows - 1, 0)) + 1)
+    cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
+    return [(r, c) for r in rows for c in cols]
 
 
 def rand_tiny_table(rng: random.Random) -> NormalizedTable:
@@ -622,6 +695,31 @@ class TestTeds:
             want = tree_edit_distance(a, b)
             assert tableeval._row_distance(a_rows, b_rows, ned) == want, (trial, a, b)
             assert teds(a, b) == max(0.0, 1.0 - want / max(a.size(), b.size()))
+
+    def test_band_passes_align_each_subtree_pair_once(self, monkeypatch):
+        # A subtree pair is the two states' own cell lists, so their ids
+        # name the (pred state, GT state) pair within one call, and the
+        # step the cost kind (bound or exact)
+        aligned = []
+        align = tableeval._align
+
+        def recording_align(xs, ys, step):
+            aligned.append((id(xs), id(ys), step.__name__))
+            return align(xs, ys, step)
+
+        monkeypatch.setattr(tableeval, "_align", recording_align)
+        rng = random.Random(107)
+        passes_doubled = 0
+        for trial in range(2_000):
+            a, b = rand_row_tree_pair(rng, regroup_cells=trial % 2 == 1)
+            a_rows, b_rows = tableeval._table_rows(a), tableeval._table_rows(b)
+            aligned.clear()
+            got = tableeval._row_distance(a_rows, b_rows, ned)
+            assert len(aligned) == len(set(aligned)), (a, b)
+            assert got == row_distance_full(a_rows, b_rows, ned), (a, b)
+            k = len(a_rows) + sum(map(len, a_rows)) - len(b_rows) - sum(map(len, b_rows))
+            passes_doubled += got > max(abs(k), 1)  # the first pass's threshold
+        assert passes_doubled >= 1_000, passes_doubled  # seen 1288
 
     @pytest.mark.parametrize("t", [1, 2, 4, 8])
     def test_band_edges_match_the_full_table(self, t):
