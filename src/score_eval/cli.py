@@ -78,16 +78,19 @@ def _load_config_file(path: Path) -> dict:
             raise MalformedInput(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = _KEYS[key](raw)
+            _run_config({key: values[key]})
         except (ValueError, ScoreEvalError) as exc:
             raise MalformedInput(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    values = _load_config_file(Path(args.config)) if args.config else {}
-    values.update((key, value) for key, value in vars(args).items() if key in _KEYS and value is not None)
+def _run_config(settings: dict, formats: str = "markdown") -> RunConfig:
+    """The validated ``RunConfig`` of these settings (``_KEYS`` names) over
+    the defaults, `formats` standing in for an absent ``formats``; a
+    value out of range raises ``MalformedInput``."""
+    values = dict(settings)
     jobs = values.pop("jobs", 1)
-    formats = values.pop("formats", "json,csv,markdown" if args.out else "markdown")
+    formats = values.pop("formats", formats)
     base = RunConfig()
     tokenizer = {f.name: values.pop(f.name) for f in dataclasses.fields(TokenizerConfig) if f.name in values}
     # what is left are RunConfig fields under their own names
@@ -101,6 +104,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg.validate()
     if jobs < 1:
         raise MalformedInput(f"jobs must be >= 1, got {jobs}")
+    return cfg
+
+
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    values = _load_config_file(Path(args.config)) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items() if key in _KEYS and value is not None)
+    cfg = _run_config(values, "json,csv,markdown" if args.out else "markdown")
     if cfg.category_map_path and not Path(cfg.category_map_path).is_file():
         raise MalformedInput(f"category map not found: {cfg.category_map_path}")
     if args.out:

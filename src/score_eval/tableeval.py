@@ -10,7 +10,6 @@ the larger tree.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -272,73 +271,55 @@ def _best_shift(
 
     What no shift changes (flattened axes, occupancy, GT unit positions)
     is built once; NEDs are read from ``ned_of(pred string, GT string)``.
-    One heap holds every shift under a bound key ``(-(c + 1.0), ...)``,
-    with ``c`` the shift's content or an upper bound on it, and the
-    search stops at the first bound key at or above the best exact key.
-    Why no shift left in the heap can have a smaller exact key:
+    The shifts are walked once in order of a bound key ``(-(c + 1.0),
+    ...)``, with ``c`` the larger of the two axis scores on
+    ``ned_upper_bound``, and the walk stops at the first bound key at or
+    above the best exact key.  No shift left can have a smaller exact key:
 
-    - An axis delta is first scored on ``ned_upper_bound``, which is at
-      least ``ned`` in floating point; both scores sum the same strings
-      in the same order over the same weights, and rounded
-      multiplication, addition and division are monotone, so the bound
-      score is at least the exact one.  A delta is scored exactly only
-      when a shift using it reaches the top with its content inexact;
-      the shift is then pushed back.
-    - Content is ``max(row score, column score)``.  It is exact once
-      both axes are, or once one axis is exact at E and the other's
-      bound is at most E, where ``max`` gives E.  The index loop runs
-      only on a shift at the top whose content is exact and whose key
-      is up to date.
+    - ``ned_upper_bound`` is at least ``ned`` in floating point; both axis
+      scores sum the same strings in the same order over the same weights,
+      and rounded multiplication, addition and division are monotone, so
+      the bound axis score is at least the exact one, bit for bit.
     - ``index`` is ``hits / units`` <= 1.0, and rounded addition is
-      monotone, so a bound key is never above the exact key; keys only
-      rise as axes are scored, and a stale one is pushed back.
+      monotone, so a bound key is never above the exact key.
+
+    Content is ``max(row score, column score)``.  The axis with the larger
+    bound is scored first (rows on a tie); the other is scored only if its
+    bound is above that score, as otherwise ``max`` gives the first score.
+    The index loop is skipped when ``content + 1.0`` cannot beat the best.
     """
     p_rows, g_rows = flatten(p, "row"), flatten(g, "row")
     p_cols, g_cols = flatten(p, "col"), flatten(g, "col")
     strings = ((p_rows, g_rows), (p_cols, g_cols))
     bound = functools.cache(lambda axis, d: _axis_score(*strings[axis], d, ned_upper_bound))
-    exact: dict[tuple[int, int], float] = {}  # (axis, delta) -> axis score
+    exact = functools.cache(lambda axis, d: _axis_score(*strings[axis], d, ned_of))
 
-    def content_of(shift: tuple[int, int]) -> tuple[float, Optional[int]]:
-        """The shift's content, or an upper bound on it, and the axis
-        (0 rows, 1 columns) to score exactly next; None once exact."""
-        known = [exact.get((a, shift[a])) for a in (0, 1)]
-        if None not in known:
-            return max(known), None
-        limit = [bound(a, shift[a]) if known[a] is None else known[a] for a in (0, 1)]
-        axis = max((a for a in (0, 1) if known[a] is None), key=limit.__getitem__)
-        other = known[1 - axis]
-        if other is not None and limit[axis] <= other:
-            return other, None
-        return max(limit), axis
+    def bound_key(shift: tuple[int, int]) -> tuple[float, int, tuple[int, int]]:
+        return -(max(bound(0, shift[0]), bound(1, shift[1])) + 1.0), abs(shift[0]) + abs(shift[1]), shift
 
     occupied = p.occupancy()
     units = [(r, c, cell.content) for cell in g.cells for r, c in cell.positions()]
-    heap = [(-(content_of(shift)[0] + 1.0), abs(shift[0]) + abs(shift[1]), shift) for shift in shifts]
-    heapq.heapify(heap)
     best_key, best = None, None
-    while heap and (best_key is None or heap[0] < best_key):
-        key = heapq.heappop(heap)
-        _, displacement, (d_row, d_col) = key
-        content, axis = content_of((d_row, d_col))
-        fresh = (-(content + 1.0), displacement, (d_row, d_col))
-        if fresh != key:  # an axis was scored since this entry was pushed
-            heapq.heappush(heap, fresh)
+    for key in sorted(map(bound_key, shifts)):
+        if best_key is not None and key >= best_key:
+            break
+        _, displacement, shift = key
+        first = 0 if bound(0, shift[0]) >= bound(1, shift[1]) else 1
+        content = exact(first, shift[first])
+        if bound(1 - first, shift[1 - first]) > content:
+            content = max(content, exact(1 - first, shift[1 - first]))
+        if best_key is not None and (-(content + 1.0), displacement, shift) >= best_key:
             continue
-        if axis is not None:
-            delta = (d_row, d_col)[axis]
-            exact[axis, delta] = _axis_score(*strings[axis], delta, ned_of)
-            heapq.heappush(heap, key)
-            continue
+        d_row, d_col = shift
         hits = 0
         for r, c, unit in units:
             pred_cell = occupied.get((r + d_row, c + d_col))
             if pred_cell is not None and ned_of(pred_cell.content, unit) >= index_gate:
                 hits += 1
         index = hits / len(units) if units else 1.0
-        key = (-(content + index), displacement, (d_row, d_col))
+        key = (-(content + index), displacement, shift)
         if best_key is None or key < best_key:
-            best_key, best = key, (content, index, (d_row, d_col))
+            best_key, best = key, (content, index, shift)
     return best
 
 
@@ -546,12 +527,9 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
     - A match is skipped only when a lower bound on it already reaches
       the cheaper indel, so the minimum keeps its value.  A td pair's
       bound is ``_cell_cost`` on ``ned_upper_bound``, never above the cost
-      on ``ned`` in floating point.  A match with a tr is first bounded by
-      the indels every alignment makes (the rows' length difference, or
-      the row's length against a td; integers, so exact), then by the
-      same alignment run on bound costs, as min and rounded addition are
-      monotone.  A tr-td bound keeps its ``len(row) + 1.0`` arm: an
-      empty row against a td costs 1.0, below ``fold + 1.0``.
+      on ``ned`` in floating point.  A match with a tr is bounded by the
+      indels every alignment makes (the rows' length difference, or the
+      row's length against a td; integers, so exact).
     - Only a diagonal band of the table is filled (Ukkonen's cutoff, as
       Touzet 2005 applies it to trees).  Every indel costs 1 and changes
       a forest's size by 1, and matching subtrees of u and v nodes costs
@@ -577,20 +555,17 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
     def lower(i: int, j: int) -> float:
         return _cell_cost(a_cells[i], b_cells[j], ned_upper_bound)
 
-    def relax_bound(base: float, m: float, i: int, j: int) -> float:
-        return min(m, base + lower(i, j))
-
     def relax(base: float, m: float, i: int, j: int) -> float:
         if base + lower(i, j) >= m:
             return m
         return min(m, base + _cell_cost(a_cells[i], b_cells[j], ned_of))
 
     @functools.cache
-    def subtree(x: int, y: int, exact: bool) -> float:
-        """The distance of a-state x's subtree to b-state y's, on exact or
-        bound cell costs; kept across the band passes."""
+    def subtree(x: int, y: int) -> float:
+        """The distance of a-state x's subtree to b-state y's; kept across
+        the band passes."""
         (xs, x_row, _), (ys, y_row, _) = a_states[x], b_states[y]
-        distance = _align(xs, ys, relax if exact else relax_bound)
+        distance = _align(xs, ys, relax)
         if x_row == y_row:
             return distance
         return min((len(xs) if x_row else len(ys)) + 1.0, distance + 1.0)
@@ -599,9 +574,9 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
         """``min(m, base + distance)`` for two subtrees of which one is a tr."""
         (xs, x_row, _), (ys, y_row, _) = a_states[x], b_states[y]
         floor = abs(len(xs) - len(ys)) if x_row == y_row else len(xs) if x_row else len(ys)
-        if base + floor >= m or base + subtree(x, y, False) >= m:
+        if base + floor >= m:
             return m
-        return min(m, base + subtree(x, y, True))
+        return min(m, base + subtree(x, y))
 
     def states(rows: Sequence[Sequence[_Td]]) -> list[tuple[list[int], bool, int]]:
         """Per postorder node: its subtree's cells, whether it is a tr, and

@@ -383,7 +383,7 @@ EVERY_FLAG = [
     ("--beta", "det_beta", "2.5", "0.5", ("det_beta",), 0.5),
     ("--diff-epsilon", "diff_epsilon", "0.2", "0.3", ("diff_epsilon",), 0.3),
     ("--shift-n", "shift_n", "4", "1", ("shift_n",), 1),
-    ("--jobs", "jobs", "0", "2", (), None),
+    ("--jobs", "jobs", "3", "2", (), None),
     ("--category-map", "category_map", "absent.txt", "map.txt", ("category_map_path",), "map.txt"),
     ("--format", "formats", "csv", "json", ("formats",), ["json"]),
 ]
@@ -517,7 +517,12 @@ class TestCli:
         ("det_tau = x", "could not convert string to float: 'x'"),
         ("shift_n = 1_0", "expected an ASCII number without '_', got '1_0'"),
         ("case_fold = maybe", "expected a boolean, got 'maybe'"),
-    ], ids=["float", "int-underscore", "bool"])
+        ("det_tau = 7.0", "det_tau must be in (0, 1], got 7.0"),
+        ("jobs = 0", "jobs must be >= 1, got 0"),
+        ("unicode_normalize = NFX", "unicode_normalize must be one of ('none', 'NFC', 'NFKC')"),
+        ("shift_n = -1", "shift_n must be >= 0, got -1"),
+    ], ids=["float", "int-underscore", "bool", "det_tau-range", "jobs-range", "unicode_normalize-range",
+            "shift_n-range"])
     def test_config_value_error_names_its_line(self, tmp_path, capsys, line, reason):
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
@@ -693,17 +698,21 @@ class TestCli:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "config", "config-under-flag"])
     def test_jobs_below_one_exits_one(self, tmp_path, capsys, source):
+        # a file value is checked where it is read, so a flag overriding
+        # it does not hide it
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
         write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
         config = tmp_path / "run.cfg"
         config.write_text("jobs = 0\n", encoding="utf-8")
-        extra = ["--jobs", "0"] if source == "flag" else ["--config", str(config)]
+        extra = {"flag": ["--jobs", "0"], "config": ["--config", str(config)],
+                 "config-under-flag": ["--config", str(config), "--jobs", "2"]}[source]
         code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"), *extra])
         assert code == 1
+        where = "" if source == "flag" else f"{config}:1: jobs: "
         assert capsys.readouterr().err.splitlines() == [
-            "score-eval: configuration error: jobs must be >= 1, got 0"
+            f"score-eval: configuration error: {where}jobs must be >= 1, got 0"
         ]
 
     @pytest.mark.parametrize(

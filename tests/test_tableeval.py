@@ -409,12 +409,13 @@ class TestLazyAxisScores:
 
     @staticmethod
     def count_exact_axis_scores(monkeypatch) -> list:
+        """(pred strings, delta) of every axis score on ``ned``, in call order."""
         exact = []
         axis_score = tableeval._axis_score
 
         def counting_axis_score(p_strings, g_strings, delta, ned_of):
             if ned_of is not ned_upper_bound:
-                exact.append(delta)
+                exact.append((p_strings, delta))
             return axis_score(p_strings, g_strings, delta, ned_of)
 
         monkeypatch.setattr(tableeval, "_axis_score", counting_axis_score)
@@ -446,11 +447,13 @@ class TestLazyAxisScores:
             shifts = in_extent_shifts(table, table, n)
             got = tableeval._best_shift(table, table, shifts, 0.5, functools.cache(ned))
             assert got == best_shift_eager(table, table, shifts, 0.5, functools.cache(ned)) == (1.0, 1.0, (0, 0))
-            assert exact == [0]
+            assert [delta for _, delta in exact] == [0]
 
-    def test_typo_scores_two_axis_deltas(self, monkeypatch):
+    def typo_scores(self, monkeypatch, typed: str) -> list:
+        """The (axis, delta) pairs ``_best_shift`` scores on ``ned`` for an
+        8x4 grid whose cell r3c2 is predicted as `typed`."""
         gt = grid(*[[f"r{r}c{c}" for c in range(4)] for r in range(8)])
-        pred = grid(*[["r3x2" if (r, c) == (3, 2) else f"r{r}c{c}" for c in range(4)] for r in range(8)])
+        pred = grid(*[[typed if (r, c) == (3, 2) else f"r{r}c{c}" for c in range(4)] for r in range(8)])
         shifts = in_extent_shifts(pred, gt, 2)
         eager_exact = []
         monkeypatch.setattr(oracles, "_axis_score",
@@ -460,7 +463,18 @@ class TestLazyAxisScores:
         exact = self.count_exact_axis_scores(monkeypatch)
         assert tableeval._best_shift(pred, gt, shifts, 0.5, functools.cache(ned)) == want
         assert want[2] == (0, 0) and want[1] == 1.0
-        assert exact == [0, 0]  # delta 0 of the rows, then of the columns
+        p_rows = flatten(pred, "row")
+        return [("row" if p_strings == p_rows else "col", delta) for p_strings, delta in exact]
+
+    def test_typo_scores_two_axis_deltas(self, monkeypatch):
+        # same lengths: both bounds tie at 1.0, so the rows go first, and
+        # their exact score falls below the columns' bound
+        assert self.typo_scores(monkeypatch, "r3x2") == [("row", 0), ("col", 0)]
+
+    def test_longer_typo_scores_one_column_delta(self, monkeypatch):
+        # one character more: the columns' bound is the larger, and their
+        # exact score equals it, so no row score can raise the content
+        assert self.typo_scores(monkeypatch, "r3c2x") == [("col", 0)]
 
 
 def in_extent_shifts(p: NormalizedTable, g: NormalizedTable, n: int) -> list[tuple[int, int]]:
@@ -698,13 +712,12 @@ class TestTeds:
 
     def test_band_passes_align_each_subtree_pair_once(self, monkeypatch):
         # A subtree pair is the two states' own cell lists, so their ids
-        # name the (pred state, GT state) pair within one call, and the
-        # step the cost kind (bound or exact)
+        # name the (pred state, GT state) pair within one call
         aligned = []
         align = tableeval._align
 
         def recording_align(xs, ys, step):
-            aligned.append((id(xs), id(ys), step.__name__))
+            aligned.append((id(xs), id(ys)))
             return align(xs, ys, step)
 
         monkeypatch.setattr(tableeval, "_align", recording_align)
