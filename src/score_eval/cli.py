@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .errors import EmptyDataset, MalformedInput, ScoreEvalError
-from .ingest import pair_pages
+from .ingest import _read_key_values, pair_pages
 from .report import FLOAT_FIELDS, RunConfig, aggregate, evaluate_pairs, render, write_reports
 from .textmetrics import TokenizerConfig
 
@@ -67,20 +67,14 @@ _KEYS: dict[str, Callable[[str], object]] = {
 def _load_config_file(path: Path) -> dict:
     """Flat key=value file mirroring RunConfig; '#' starts a comment."""
     values: dict = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise MalformedInput(f"{path}:{lineno}: expected key=value")
-        key, raw = (part.strip() for part in line.split("=", 1))
+    for place, key, raw in _read_key_values(path):
         if key not in _KEYS:
-            raise MalformedInput(f"{path}:{lineno}: unknown key {key!r}")
+            raise MalformedInput(f"{place}: unknown key {key!r}")
         try:
             values[key] = _KEYS[key](raw)
             _run_config({key: values[key]})
         except (ValueError, ScoreEvalError) as exc:
-            raise MalformedInput(f"{path}:{lineno}: {key}: {exc}") from exc
+            raise MalformedInput(f"{place}: {key}: {exc}") from exc
     return values
 
 

@@ -16,10 +16,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidThreshold, MalformedInput, ScoreEvalError
-from .ingest import DocumentPage, Element, parse_table_html
+from .ingest import DocumentPage, Element, _key_values, _read_key_values, parse_table_html
 from .textmetrics import (
     DEFAULT_TOKENIZER,
     TokenizerConfig,
@@ -54,10 +54,13 @@ class CategoryMap:
     def __init__(self, entries: Optional[Mapping[str, str]] = None) -> None:
         self._entries: dict[str, str] = {}
         for raw, category in (entries or {}).items():
-            category = category.strip().upper()
-            if category not in CATEGORIES:
-                raise MalformedInput(f"unknown category {category!r} for label {raw!r}")
-            self._entries[raw.strip().casefold()] = category
+            self._add(raw, category)
+
+    def _add(self, raw: str, category: str) -> None:
+        category = category.strip().upper()
+        if category not in CATEGORIES:
+            raise MalformedInput(f"unknown category {category!r} for label {raw!r}")
+        self._entries[raw.strip().casefold()] = category
 
     def category(self, raw_label: str) -> str:
         return self._entries.get(raw_label.strip().casefold(), "OTHER")
@@ -74,21 +77,22 @@ class CategoryMap:
         return "paragraph"
 
     @classmethod
+    def _from_key_values(cls, lines: Iterable[tuple[str, str, str]]) -> "CategoryMap":
+        cmap = cls()
+        for place, raw, category in lines:
+            try:
+                cmap._add(raw, category)
+            except MalformedInput as exc:
+                raise MalformedInput(f"{place}: {exc}") from exc
+        return cmap
+
+    @classmethod
     def from_text(cls, text: str) -> "CategoryMap":
-        entries = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise MalformedInput(f"category map line {lineno}: expected 'label = CATEGORY'")
-            raw, category = line.split("=", 1)
-            entries[raw.strip()] = category.strip()
-        return cls(entries)
+        return cls._from_key_values(_key_values(text, "category map"))
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "CategoryMap":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls._from_key_values(_read_key_values(path))
 
     @classmethod
     @functools.cache

@@ -4,7 +4,9 @@ One input schema covers both sides: a UTF-8 JSON list of elements, each
 with a "type" and a "text".  A table's text may be a list of coordinate
 cells (human annotation style), a list of row/col cells, or an HTML
 string (typical model output); all three normalize to the same cell
-tuples.  Parsers are pure functions of their input bytes.
+tuples.  Parsers are pure functions of their input bytes.  The flat
+``key = value`` settings files (run configuration, category map) are
+read here too.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import EmptyDataset, MalformedInput, MultipleTablesFound, NoTableFound, ScoreEvalError
 from .tableeval import Cell, NormalizedTable
@@ -92,6 +94,29 @@ def _load_json(data: Union[bytes, str], what: str):
         raise MalformedInput(f"{what} nests too deeply") from exc
 
 
+def _key_values(text: str, source: str) -> Iterator[tuple[str, str, str]]:
+    """``(place, key, value)`` of each ``key = value`` line of a settings
+    text, ``place`` being ``source:line``; ``#`` starts a comment and
+    blank lines are skipped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise MalformedInput(f"{source}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        yield f"{source}:{lineno}", key.strip(), value.strip()
+
+
+def _read_key_values(path: Union[str, Path]) -> Iterator[tuple[str, str, str]]:
+    """``_key_values`` of the UTF-8 settings file at ``path``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8: {exc}") from exc
+    return _key_values(text, str(path))
+
+
 def _read_cells(items: Sequence, schema: tuple[str, str, str, str]) -> NormalizedTable:
     """Cell objects keyed as ``schema`` names them; the first bad cell is named."""
     key_a, key_b, span_key_a, span_key_b = schema
@@ -137,12 +162,20 @@ def parse_table_rowcol(data: Union[bytes, str, list]) -> NormalizedTable:
 # HTML's rules for parsing non-negative integers: leading ASCII
 # whitespace, an optional "+", then the leading ASCII digits.
 _HTML_NON_NEGATIVE = re.compile(r"[\t\n\f\r ]*\+?([0-9]+)")
+# The HTML Standard's table processing model caps the spans.
+_SPAN_CAP = {"colspan": 1000, "rowspan": 65534}
 
 
 def _span_attr(attrs: dict[str, Optional[str]], name: str) -> int:
-    """A rowspan or colspan as browsers read it; no digits, a minus sign or 0 give 1."""
+    """A rowspan or colspan as browsers read it; no digits, a minus sign or 0
+    give 1, and a value past the cap reads as the cap."""
     match = _HTML_NON_NEGATIVE.match(attrs.get(name) or "")
-    return max(1, int(match.group(1))) if match else 1
+    if not match:
+        return 1
+    # six significant digits already pass either cap, and int() refuses
+    # a string of more than a few thousand
+    digits = match.group(1).lstrip("0")[:6]
+    return min(max(1, int(digits or "0")), _SPAN_CAP[name])
 
 
 # Tags whose boundaries separate text when rendered; inline markup

@@ -24,8 +24,8 @@ from .hierarchy import (
 from .ingest import PagePair
 from .tableeval import (
     DetectionResult,
-    _content_index_accuracy,
     _table_teds,
+    content_index_accuracy,
     match_tables,
 )
 from .textmetrics import (
@@ -118,27 +118,6 @@ class PageReport:
     confusion: ConfusionMatrix
     notices: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        fidelity = dataclasses.asdict(self.fidelity)
-        table = None
-        if self.table is not None:
-            detection = dataclasses.asdict(self.table.detection)
-            detection["pairs"] = [list(p) for p in self.table.detection.pairs]
-            table = {
-                "detection": detection,
-                "content_acc": self.table.content_acc,
-                "index_acc": self.table.index_acc,
-                "teds": self.table.teds,
-            }
-        return {
-            "page_id": self.page_id,
-            "fidelity": fidelity,
-            "table": table,
-            "consistency": self.consistency,
-            "confusion": self.confusion.to_dict(),
-            "notices": list(self.notices),
-        }
-
 
 @dataclass
 class AggregateReport:
@@ -148,16 +127,6 @@ class AggregateReport:
     diff_avg: Optional[float]
     run_config: RunConfig
     notices: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "page_count": self.page_count,
-            "means": dict(self.means),
-            "diff_count": self.diff_count,
-            "diff_avg": self.diff_avg,
-            "run_config": self.run_config.to_dict(),
-            "notices": list(self.notices),
-        }
 
 
 def evaluate_page(
@@ -217,7 +186,7 @@ def evaluate_page(
                 pi = matched.get(gi)
                 if pi is None:
                     continue  # a missed table contributes zero
-                accuracy = _content_index_accuracy(
+                accuracy = content_index_accuracy(
                     pred_tables[pi], gt_table, cfg.shift_n, cfg.index_gate, ned_of
                 )
                 content_sum += accuracy.content_acc
@@ -322,11 +291,19 @@ def _fmt(value: Optional[float]) -> str:
     return str(value)
 
 
+def _plain(value):
+    """``value`` as report.json holds it: a ``ConfusionMatrix`` is its
+    nonzero counts nested by label, any other dataclass the dict of its
+    fields in field order, each converted the same way; the rest as is."""
+    if isinstance(value, ConfusionMatrix):
+        return value.to_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
 def _render_json(agg: AggregateReport, pages: Sequence[PageReport]) -> bytes:
-    payload = {
-        "aggregate": agg.to_dict(),
-        "pages": [p.to_dict() for p in pages],
-    }
+    payload = {"aggregate": _plain(agg), "pages": [_plain(p) for p in pages]}
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 

@@ -347,19 +347,15 @@ def content_index_accuracy(
     g: NormalizedTable,
     n: int = 2,
     index_gate: float = 0.5,
+    ned_of: Optional[Callable[[str, str], float]] = None,
 ) -> CellAccuracy:
     """Best cell alignment over all grid shifts within [-n, n] squared.
 
     One shift is chosen jointly for both scores; ties prefer the
     smallest displacement, then lexicographic order, so results do not
-    depend on evaluation order.
+    depend on evaluation order.  NEDs are read from ``ned_of(pred string,
+    GT string)``, a fresh ``functools.cache(ned)`` when it is None.
     """
-    return _content_index_accuracy(p, g, n, index_gate, functools.cache(ned))
-
-
-def _content_index_accuracy(p: NormalizedTable, g: NormalizedTable, n: int, index_gate: float,
-                            ned_of: Callable[[str, str], float]) -> CellAccuracy:
-    """``content_index_accuracy``, reading NEDs from ``ned_of(pred string, GT string)``."""
     if n < 0:
         raise InvalidThreshold(f"shift bound must be >= 0, got {n}")
     # A delta at or past the tables' extent leaves no row (column)
@@ -368,6 +364,7 @@ def _content_index_accuracy(p: NormalizedTable, g: NormalizedTable, n: int, inde
     rows = range(-min(n, max(g.n_rows - 1, 0)), min(n, max(p.n_rows - 1, 0)) + 1)
     cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
     shifts = [(d_row, d_col) for d_row in rows for d_col in cols]
+    ned_of = ned_of if ned_of is not None else functools.cache(ned)
     content, index, shift = _best_shift(p, g, shifts, index_gate, ned_of)
     return CellAccuracy(content_acc=content, index_acc=index, best_shift=shift)
 

@@ -414,7 +414,7 @@ def shift_scores_all(
 
 def content_index_accuracy_all_shifts(p: NormalizedTable, g: NormalizedTable, n: int, index_gate: float,
                                       ned_of: Callable[[str, str], float]) -> CellAccuracy:
-    """``tableeval._content_index_accuracy`` as it was before its best-first
+    """``tableeval.content_index_accuracy`` as it was before its best-first
     search: every shift's index loop runs, and ``min`` picks the best."""
     if n < 0:
         raise InvalidThreshold(f"shift bound must be >= 0, got {n}")

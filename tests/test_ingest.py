@@ -125,6 +125,20 @@ class TestParseDocument:
             parse_document(b'[{"type":"A","text":"ok"},{"type":"B"}]')
 
 
+# (attribute value, colspan, rowspan) as a browser reads a span; the
+# HTML Standard caps colspan at 1000 and rowspan at 65534
+SPAN_VALUES = [
+    ("2.5", 2, 2), ("3px", 3, 3), (" +2", 2, 2), ("1_0", 1, 1), ("\u0663", 1, 1),
+    ("0", 1, 1), ("-2", 1, 1), ("x", 1, 1), ("2", 2, 2),
+    ("1001", 1000, 1001), ("65535", 1000, 65534), ("0065535", 1000, 65534), ("9" * 5000, 1000, 65534),
+]
+
+
+def span_id(raw, colspan, rowspan):
+    value = raw if len(raw) < 10 else f"{len(raw)}-digits"
+    return f"{value}-{colspan}" if colspan == rowspan else f"{value}-{colspan}-{rowspan}"
+
+
 class TestParseTableHtml:
     def test_two_cell_row(self):
         table = parse_table_html("<table><tr><td>Q1</td><td>$100K</td></tr></table>")
@@ -154,17 +168,13 @@ class TestParseTableHtml:
         b = parse_table_html("<table><tr><td>h</td></tr></table>")
         assert cell_tuples(a) == cell_tuples(b)
 
-    @pytest.mark.parametrize(
-        "raw, span",
-        [("2.5", 2), ("3px", 3), (" +2", 2), ("1_0", 1), ("٣", 1),
-         ("0", 1), ("-2", 1), ("x", 1), ("2", 2)],
-    )
-    def test_spans_parse_as_browsers_do(self, raw, span):
-        # HTML's rules for parsing non-negative integers
+    @pytest.mark.parametrize("raw, colspan, rowspan", SPAN_VALUES, ids=[span_id(*value) for value in SPAN_VALUES])
+    def test_spans_parse_as_browsers_do(self, raw, colspan, rowspan):
+        # HTML's rules for parsing non-negative integers, and its caps
         wide = parse_table_html(f'<table><tr><td colspan="{raw}">a</td></tr></table>')
         tall = parse_table_html(f'<table><tr><td rowspan="{raw}">a</td></tr></table>')
-        assert cell_tuples(wide) == {(0, 0, 1, span, "a")}
-        assert cell_tuples(tall) == {(0, 0, span, 1, "a")}
+        assert cell_tuples(wide) == {(0, 0, 1, colspan, "a")}
+        assert cell_tuples(tall) == {(0, 0, rowspan, 1, "a")}
 
     def test_rowspan_grid_filling(self):
         table = parse_table_html(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 from conftest import rand_page_pair, write_rand_dataset
 from score_eval.cli import main
 from score_eval.errors import EmptyDataset
+from score_eval.hierarchy import LABELS
 from score_eval.ingest import PagePair, parse_document
 from score_eval.report import (
     RunConfig,
@@ -116,6 +118,36 @@ class TestEvaluatePage:
         assert ("Revenue rose in every quarter", "Revenue rose in every quarter.") in calls
         assert ("$10OK", "$100K") in calls and ("$100K", "$10OK") not in calls
         assert len(calls) == len(set(calls))
+
+    def test_shift_search_reads_the_page_cache(self, monkeypatch):
+        # one public content_index_accuracy call per matched GT table, each
+        # with the page's one NED source, a fresh one on the next page
+        from score_eval.tableeval import content_index_accuracy
+
+        calls = []
+
+        def spy(p, g, n, index_gate, ned_of=None):
+            calls.append((g, ned_of))
+            return content_index_accuracy(p, g, n, index_gate, ned_of)
+
+        monkeypatch.setattr("score_eval.report.content_index_accuracy", spy)
+        grids = [[["Q1", "$100K"], ["Q2", "$200K"]], [["north", "12"], ["south", "15"]],
+                 [["alpha", "bravo"], ["charlie", "delta"]]]
+
+        def table(rows):
+            return {"type": "Table", "text": [
+                {"x": x, "y": y, "content": text} for y, row in enumerate(rows) for x, text in enumerate(row)
+            ]}
+
+        gt_items = [table(rows) for rows in grids]
+        # the third GT table is missed
+        pred_items = [table(grids[0]), table([["north", "12"], ["south", "51"]])]
+        for _ in range(2):
+            report = evaluate_page(simple_pair(gt_items, pred_items))
+            assert report.table.detection.true_positives == 2
+        assert [[c.content for c in g.cells] for g, _ in calls] == [sum(rows, []) for rows in grids[:2]] * 2
+        first, second = {id(ned_of) for _, ned_of in calls[:2]}, {id(ned_of) for _, ned_of in calls[2:]}
+        assert len(first) == len(second) == 1 and first != second
 
     def test_each_element_is_tokenized_once(self, monkeypatch):
         # table detection reads the token bags of the prepared pages
@@ -341,6 +373,29 @@ class TestRender:
         # a second render is byte-identical
         assert render(agg, reports, "json") == blob
 
+        # every object holds its record's fields, in field order
+        def names(record):
+            return [f.name for f in dataclasses.fields(record)]
+
+        assert list(parsed["aggregate"]) == names(agg)
+        assert list(parsed["aggregate"]["run_config"]) == names(agg.run_config)
+        assert list(parsed["aggregate"]["run_config"]["tokenizer"]) == names(agg.run_config.tokenizer)
+        tables = 0
+        for page_dict, report in zip(parsed["pages"], reports, strict=True):
+            assert list(page_dict) == names(report)
+            assert list(page_dict["fidelity"]) == names(report.fidelity)
+            if report.table is not None:
+                tables += 1
+                assert list(page_dict["table"]) == names(report.table)
+                assert list(page_dict["table"]["detection"]) == names(report.table.detection)
+            counts = report.confusion.counts
+            by_label = {
+                LABELS[i]: {LABELS[j]: n for j, n in enumerate(row) if n}
+                for i, row in enumerate(counts) if any(row)
+            }
+            assert json.dumps(page_dict["confusion"]) == json.dumps(by_label)
+        assert tables > 0
+
     def test_write_reports_creates_files(self, run, tmp_path):
         agg, reports = run
         paths = write_reports(agg, reports, tmp_path / "out")
@@ -534,6 +589,23 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             f"score-eval: configuration error: {config}:3: {key}: {reason}"
         ]
+
+    @pytest.mark.parametrize("flag, data, reason", [
+        ("--category-map", b"# map\n\nfoo = BAR\n", ":3: unknown category 'BAR' for label 'foo'"),
+        ("--category-map", b"# map\n\nfoo\n", ":3: expected key=value"),
+        ("--category-map", b"foo = TEXT\n\xff\n",
+         ": not UTF-8: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+        ("--config", b"det_tau = 0.7\n\xff\n",
+         ": not UTF-8: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+    ], ids=["map-category", "map-no-equals", "map-not-utf8", "config-not-utf8"])
+    def test_settings_file_error_names_its_place(self, tmp_path, capsys, flag, data, reason):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS}, "pred")
+        settings = tmp_path / "settings.txt"
+        settings.write_bytes(data)
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"), flag, str(settings)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"score-eval: configuration error: {settings}{reason}"]
 
     @pytest.mark.parametrize("flag, raw, kind", [("--shift-n", "1_0", "int"), ("--jobs", "\u0663", "int"),
                                                  ("--tau", "0.5_5", "float")])

@@ -368,7 +368,7 @@ class TestContentIndexAccuracy:
             p, g = rand_tiny_table(rng), rand_tiny_table(rng)
             n, gate = rng.randint(0, 2), rng.choice((0.0, 0.5, 1.0))
             want = content_index_accuracy_all_shifts(p, g, n, gate, functools.cache(ned))
-            assert tableeval._content_index_accuracy(p, g, n, gate, functools.cache(ned)) == want, (p, g, n, gate)
+            assert content_index_accuracy(p, g, n, gate, ned_of=functools.cache(ned)) == want, (p, g, n, gate)
             rows = range(-min(n, max(g.n_rows - 1, 0)), min(n, max(p.n_rows - 1, 0)) + 1)
             cols = range(-min(n, max(g.n_cols - 1, 0)), min(n, max(p.n_cols - 1, 0)) + 1)
             shifts = [(r, c) for r in rows for c in cols]
