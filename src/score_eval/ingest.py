@@ -167,15 +167,17 @@ _SPAN_CAP = {"colspan": 1000, "rowspan": 65534}
 
 
 def _span_attr(attrs: dict[str, Optional[str]], name: str) -> int:
-    """A rowspan or colspan as browsers read it; no digits, a minus sign or 0
-    give 1, and a value past the cap reads as the cap."""
+    """A rowspan or colspan as browsers read it; no digits or a minus sign
+    give 1, a colspan of 0 gives 1, a rowspan of 0 stays 0 (the cell spans
+    to the end of its row group), and a value past the cap reads as the cap."""
     match = _HTML_NON_NEGATIVE.match(attrs.get(name) or "")
     if not match:
         return 1
     # six significant digits already pass either cap, and int() refuses
     # a string of more than a few thousand
     digits = match.group(1).lstrip("0")[:6]
-    return min(max(1, int(digits or "0")), _SPAN_CAP[name])
+    low = 0 if name == "rowspan" else 1
+    return min(max(low, int(digits or "0")), _SPAN_CAP[name])
 
 
 # Tags whose boundaries separate text when rendered; inline markup
@@ -185,138 +187,112 @@ _BLOCK_TAGS = {
     "section", "article", "blockquote", "table", "thead", "tbody", "tfoot",
     "tr", "td", "th", "caption", "pre", "hr",
 }
+# A start or end tag of a row group ends the group before it.
+_ROW_GROUPS = {"thead", "tbody", "tfoot"}
 
 
 class _TableHTMLParser(HTMLParser):
-    """Lenient table reader with standard colspan/rowspan grid filling."""
+    """Lenient table reader: the callbacks collect rows of
+    ``(rowspan, colspan, text)``, and ``finalize`` places the cells."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.cells: list[Cell] = []
-        self._row = -1
-        self._col = 0
-        self._in_cell = False
-        self._cell_text: list[str] = []
-        self._cell_anchor = (0, 0)
-        self._cell_span = (1, 1)
-        # unit positions claimed by placed cells (spans included)
-        self._reserved: set[tuple[int, int]] = set()
-        self._in_table = False      # inside the (single) top-level table
-        self._implicit = False      # bare rows/cells without a <table> wrapper
-        self._closed_table = False  # a top-level table already ended
-        self._nested = 0            # <table> depth inside a cell; flattened to text
-
-    # -- grid bookkeeping --------------------------------------------------
-
-    def _advance_past_reserved(self) -> None:
-        while (self._row, self._col) in self._reserved:
-            self._col += 1
-
-    def _open_row(self) -> None:
-        self._close_cell()
-        self._row += 1
-        self._col = 0
-        self._advance_past_reserved()
-
-    def _open_cell(self, attrs: dict[str, Optional[str]]) -> None:
-        self._close_cell()
-        if self._row < 0:  # cell without a row: open one implicitly
-            self._row = 0
-            self._col = 0
-        self._advance_past_reserved()
-        self._in_cell = True
-        self._cell_text = []
-        self._cell_anchor = (self._row, self._col)
-        self._cell_span = (_span_attr(attrs, "rowspan"), _span_attr(attrs, "colspan"))
+        self.rows: list[list[tuple[int, int, str]]] = []
+        self._group_ends: set[int] = set()  # row counts at top-level row group tags
+        self._cell: Optional[tuple[int, int, list[str]]] = None  # spans and text parts of the open cell
+        self._table: Optional[str] = None  # top-level table: "open", "closed", or "implicit" (bare rows/cells)
+        self._nested = 0  # <table> depth inside a cell; flattened to text
 
     def _close_cell(self) -> None:
-        if not self._in_cell:
-            return
-        row, col = self._cell_anchor
-        rowspan, colspan = self._cell_span
-        cell = Cell(row, col, rowspan, colspan, _collapse_ws("".join(self._cell_text)))
-        self.cells.append(cell)
-        self._reserved.update(cell.positions())
-        self._col = col + colspan
-        self._advance_past_reserved()
-        self._in_cell = False
-        self._cell_text = []
-
-    # -- HTMLParser hooks ----------------------------------------------------
-
-    def _enter_structure(self) -> None:
-        """A row or cell is starting outside any explicit table."""
-        if self._closed_table:
-            raise MultipleTablesFound("stray cells after a closed table")
-        self._implicit = True
+        if self._cell is not None:
+            rowspan, colspan, parts = self._cell
+            self.rows[-1].append((rowspan, colspan, _collapse_ws("".join(parts))))
+            self._cell = None
 
     def _block_boundary(self, tag: str) -> None:
-        if self._in_cell and tag in _BLOCK_TAGS:
-            self._cell_text.append(" ")
+        if self._cell is not None and tag in _BLOCK_TAGS:
+            self._cell[2].append(" ")
+
+    def _top_level_tag(self, tag: str) -> None:
+        """A tag of the top-level table other than a table, row or cell."""
+        if tag in _ROW_GROUPS:
+            self._group_ends.add(len(self.rows))
+        self._block_boundary(tag)
 
     def handle_starttag(self, tag: str, attrs) -> None:
-        tag = tag.lower()
         if tag == "table":
-            if self._in_cell or self._nested > 0:
+            if self._cell is not None or self._nested > 0:
                 self._nested += 1  # table inside a cell: flatten to text
-                return
-            if self._in_table or self._closed_table or self._implicit:
+            elif self._table is not None:
                 raise MultipleTablesFound("more than one top-level table in fragment")
-            self._in_table = True
-            return
-        if self._nested > 0:
+            else:
+                self._table = "open"
+        elif self._nested > 0:
             self._block_boundary(tag)  # nested structure contributes text only
-            return
-        if tag == "tr":
-            if not self._in_table:
-                self._enter_structure()
-            self._open_row()
-        elif tag in ("td", "th"):
-            if not self._in_table:
-                self._enter_structure()
-            self._open_cell(dict(attrs))
-        elif tag == "img" and self._in_cell:
+        elif tag in ("tr", "td", "th"):
+            if self._table == "closed":
+                raise MultipleTablesFound("stray cells after a closed table")
+            self._table = self._table or "implicit"
+            self._close_cell()
+            if tag == "tr" or not self.rows:  # a cell without a row opens one
+                self.rows.append([])
+            if tag != "tr":
+                attrs = dict(attrs)
+                self._cell = (_span_attr(attrs, "rowspan"), _span_attr(attrs, "colspan"), [])
+        elif tag == "img" and self._cell is not None:
             alt = dict(attrs).get("alt")
             if alt:
-                self._cell_text.append(f" {alt} ")
+                self._cell[2].append(f" {alt} ")
         else:
-            self._block_boundary(tag)
+            self._top_level_tag(tag)
 
     def handle_endtag(self, tag: str) -> None:
-        tag = tag.lower()
         if tag == "table":
             if self._nested > 0:
                 self._nested -= 1
                 self._block_boundary(tag)
-                return
-            if self._in_table:
+            elif self._table == "open":
                 self._close_cell()
-                self._in_table = False
-                self._closed_table = True
-            return
-        if self._nested > 0:
+                self._table = "closed"
+        elif self._nested > 0:
             self._block_boundary(tag)
-            return
-        if tag in ("td", "th", "tr"):
+        elif tag in ("td", "th", "tr"):
             self._close_cell()
         else:
-            self._block_boundary(tag)
+            self._top_level_tag(tag)
 
     def handle_data(self, data: str) -> None:
-        if self._in_cell:
-            self._cell_text.append(data)
+        if self._cell is not None:
+            self._cell[2].append(data)
 
     def finalize(self) -> NormalizedTable:
+        """The rows' cells placed on the grid, as ``parse_table_html`` says."""
         self._close_cell()
-        if not (self._in_table or self._closed_table or self._implicit):
+        if self._table is None:
             raise NoTableFound("no table markup in fragment")
-        return NormalizedTable.from_cells(self.cells)
+        group_ends = self._group_ends | {len(self.rows)}
+        cells = []
+        taken: set[tuple[int, int]] = set()  # positions that cells of earlier rows span down into
+        for r, row in enumerate(self.rows):
+            c = 0
+            for rowspan, colspan, text in row:
+                while (r, c) in taken:
+                    c += 1
+                rowspan = rowspan or min(end for end in group_ends if end > r) - r
+                cells.append(Cell(r, c, rowspan, colspan, text))
+                taken.update((r + i, c + j) for i in range(1, rowspan) for j in range(colspan))
+                c += colspan
+        return NormalizedTable.from_cells(cells)
 
 
 def parse_table_html(html: str) -> NormalizedTable:
-    """Extract one table from HTML, expanding spans onto the grid.
+    """Extract one table from HTML: read its rows of cells, then place
+    each cell on the grid with its spans.
 
-    Parsing is browser-style lenient: unclosed rows and cells are closed
+    Each cell takes the first column of its row that no earlier cell
+    covers, and a ``rowspan`` of 0 spans to the end of the cell's row
+    group (its thead, tbody or tfoot, or the table).  Parsing is
+    browser-style lenient: unclosed rows and cells are closed
     implicitly, header cells are ordinary cells, images contribute their
     alt text or nothing, and nested markup inside a cell is flattened to
     its text.

@@ -1,0 +1,158 @@
+"""Mutation checks: each mutant of the source must make one of its tests fail.
+
+Run from anywhere, with pytest installed::
+
+    python tests/mutants.py
+
+A mutant is one exact piece of source text (a line, or a few lines where
+one is not unique) and its replacement.  For each mutant the script
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies the mutant there and runs only the tests it lists.
+Before any mutant, the listed tests run once on the unmutated copy and
+must pass.  The script exits 1 if a mutant survives (its tests pass), if
+its text does not occur exactly once, or if its tests cannot run (a test
+id that no longer exists does not count as a kill).  It uses the
+standard library only; pytest does not collect it, as its name does not
+start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/score_eval
+    text: str  # must occur exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids under tests/
+
+
+INGEST = "tests/test_ingest.py::TestParseTableHtml::"
+SHIFT = ("tests/test_tableeval.py::TestContentIndexAccuracy", "tests/test_tableeval.py::TestLazyAxisScores")
+TEDS = "tests/test_tableeval.py::TestTeds"
+
+MUTANTS = [
+    # HTML table layout
+    Mutant("layout: skip one covered column only", "ingest.py",
+           "                while (r, c) in taken:",
+           "                if (r, c) in taken:",
+           (INGEST + "test_span_expansion_matches_matrix_oracle",)),
+    Mutant("layout: step one column past a cell", "ingest.py",
+           "                c += colspan",
+           "                c += 1",
+           (INGEST + "test_span_expansion_matches_matrix_oracle", INGEST + "test_same_parses_as_the_incremental_parser")),
+    Mutant("layout: no row group boundary at an end tag", "ingest.py",
+           "            self._close_cell()\n        else:\n            self._top_level_tag(tag)",
+           "            self._close_cell()\n        else:\n            self._block_boundary(tag)",
+           (INGEST + "test_zero_rowspan_stops_at_the_end_of_its_row_group",)),
+    Mutant("layout: a rowspan of 0 read as 1", "ingest.py",
+           "                rowspan = rowspan or min(end for end in group_ends if end > r) - r",
+           "                rowspan = rowspan or 1",
+           (INGEST + "test_zero_rowspan_spans_to_the_end_of_the_table",)),
+    Mutant("spans: the two caps swapped", "ingest.py",
+           '_SPAN_CAP = {"colspan": 1000, "rowspan": 65534}',
+           '_SPAN_CAP = {"colspan": 65534, "rowspan": 1000}',
+           (INGEST + "test_spans_parse_as_browsers_do",)),
+    Mutant("spans: leading zeros kept", "ingest.py",
+           '    digits = match.group(1).lstrip("0")[:6]',
+           "    digits = match.group(1)[:6]",
+           (INGEST + "test_spans_parse_as_browsers_do",)),
+    # shift search
+    Mutant("shift: smaller-bound axis scored first", "tableeval.py",
+           "        first = 0 if bound(0, shift[0]) >= bound(1, shift[1]) else 1",
+           "        first = 1 if bound(0, shift[0]) >= bound(1, shift[1]) else 0",
+           SHIFT),
+    Mutant("shift: no + 1.0 in the bound key", "tableeval.py",
+           "        return -(max(bound(0, shift[0]), bound(1, shift[1])) + 1.0), abs(shift[0]) + abs(shift[1]), shift",
+           "        return -max(bound(0, shift[0]), bound(1, shift[1])), abs(shift[0]) + abs(shift[1]), shift",
+           SHIFT),
+    Mutant("shift: second axis scored on a tie", "tableeval.py",
+           "        if bound(1 - first, shift[1 - first]) > content:",
+           "        if bound(1 - first, shift[1 - first]) >= content:",
+           SHIFT),
+    Mutant("shift: second axis never scored", "tableeval.py",
+           "        if bound(1 - first, shift[1 - first]) > content:",
+           "        if False:",
+           SHIFT),
+    # row-level TEDS
+    Mutant("teds: no integer floor on a match with a tr", "tableeval.py",
+           "        floor = abs(len(xs) - len(ys)) if x_row == y_row else len(xs) if x_row else len(ys)",
+           "        floor = 0",
+           (TEDS + "::test_row_matches_are_skipped_below_their_integer_floor",)),
+    Mutant("teds: subtree distances not kept", "tableeval.py",
+           "    @functools.cache\n    def subtree(",
+           "    def subtree(",
+           (TEDS,)),
+    Mutant("teds: a pass accepted at twice its threshold", "tableeval.py",
+           "    while (distance := banded(t)) > t:",
+           "    while (distance := banded(t)) > 2 * t:",
+           (TEDS,)),
+    Mutant("teds: a band one step narrower", "tableeval.py",
+           "        reach = (t - abs(k)) // 2",
+           "        reach = (t - abs(k)) // 2 - 1",
+           (TEDS,)),
+]
+
+
+def _copy_tree(work: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, work / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+
+
+def _pytest(work: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=work, capture_output=True, text=True)
+
+
+def _tail(result: subprocess.CompletedProcess) -> str:
+    return "\n".join((result.stdout + result.stderr).strip().splitlines()[-5:])
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="score-eval-mutants-") as tmp:
+        baseline = Path(tmp) / "baseline"
+        _copy_tree(baseline)
+        listed = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
+        result = _pytest(baseline, listed)
+        if result.returncode != 0:
+            print(f"the listed tests fail without any mutant:\n{_tail(result)}")
+            return 1
+        for i, mutant in enumerate(MUTANTS):
+            work = Path(tmp) / f"mutant-{i}"
+            _copy_tree(work)
+            path = work / "src" / "score_eval" / mutant.file
+            source = path.read_text(encoding="utf-8")
+            count = source.count(mutant.text)
+            if count != 1:
+                failures.append(f"{mutant.name}: its text occurs {count} times in {mutant.file}")
+                continue
+            path.write_text(source.replace(mutant.text, mutant.replacement), encoding="utf-8")
+            result = _pytest(work, mutant.tests)
+            if result.returncode == 0:
+                failures.append(f"{mutant.name}: survived {', '.join(mutant.tests)}")
+            elif result.returncode != 1:  # 1 is failed tests; the rest is an error
+                failures.append(f"{mutant.name}: tests did not run (pytest exit {result.returncode}):\n"
+                                f"{_tail(result)}")
+            else:
+                print(f"killed: {mutant.name}")
+            shutil.rmtree(work)
+    for failure in failures:
+        print(f"FAILED: {failure}")
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

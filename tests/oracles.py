@@ -10,11 +10,12 @@ import functools
 import json
 import math
 from functools import lru_cache
+from html.parser import HTMLParser
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from score_eval.errors import InvalidThreshold, MalformedInput
-from score_eval.ingest import CoordCell, _collapse_ws, _integer
+from score_eval.errors import InvalidThreshold, MalformedInput, MultipleTablesFound, NoTableFound
+from score_eval.ingest import _BLOCK_TAGS, _HTML_NON_NEGATIVE, _SPAN_CAP, CoordCell, _collapse_ws, _integer
 from score_eval.tableeval import (
     Cell,
     CellAccuracy,
@@ -142,6 +143,148 @@ def grid_fill_by_matrix(rows: list[list[tuple[str, int, int]]]) -> set[tuple[int
                     occupied.add((rr, cc))
             c += colspan
     return cells
+
+
+# ``ingest._span_attr`` and ``ingest._TableHTMLParser`` as they were
+# before reading rows was split from placing cells: the parser placed each
+# cell as its start tag arrived, with a row/column cursor and a set of
+# reserved positions, and a rowspan of 0 read as 1.
+def _span_attr(attrs: dict[str, Optional[str]], name: str) -> int:
+    """A rowspan or colspan as browsers read it; no digits, a minus sign or 0
+    give 1, and a value past the cap reads as the cap."""
+    match = _HTML_NON_NEGATIVE.match(attrs.get(name) or "")
+    if not match:
+        return 1
+    # six significant digits already pass either cap, and int() refuses
+    # a string of more than a few thousand
+    digits = match.group(1).lstrip("0")[:6]
+    return min(max(1, int(digits or "0")), _SPAN_CAP[name])
+
+
+class TableHTMLParserIncremental(HTMLParser):
+    """Lenient table reader with standard colspan/rowspan grid filling."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.cells: list[Cell] = []
+        self._row = -1
+        self._col = 0
+        self._in_cell = False
+        self._cell_text: list[str] = []
+        self._cell_anchor = (0, 0)
+        self._cell_span = (1, 1)
+        # unit positions claimed by placed cells (spans included)
+        self._reserved: set[tuple[int, int]] = set()
+        self._in_table = False      # inside the (single) top-level table
+        self._implicit = False      # bare rows/cells without a <table> wrapper
+        self._closed_table = False  # a top-level table already ended
+        self._nested = 0            # <table> depth inside a cell; flattened to text
+
+    # -- grid bookkeeping --------------------------------------------------
+
+    def _advance_past_reserved(self) -> None:
+        while (self._row, self._col) in self._reserved:
+            self._col += 1
+
+    def _open_row(self) -> None:
+        self._close_cell()
+        self._row += 1
+        self._col = 0
+        self._advance_past_reserved()
+
+    def _open_cell(self, attrs: dict[str, Optional[str]]) -> None:
+        self._close_cell()
+        if self._row < 0:  # cell without a row: open one implicitly
+            self._row = 0
+            self._col = 0
+        self._advance_past_reserved()
+        self._in_cell = True
+        self._cell_text = []
+        self._cell_anchor = (self._row, self._col)
+        self._cell_span = (_span_attr(attrs, "rowspan"), _span_attr(attrs, "colspan"))
+
+    def _close_cell(self) -> None:
+        if not self._in_cell:
+            return
+        row, col = self._cell_anchor
+        rowspan, colspan = self._cell_span
+        cell = Cell(row, col, rowspan, colspan, _collapse_ws("".join(self._cell_text)))
+        self.cells.append(cell)
+        self._reserved.update(cell.positions())
+        self._col = col + colspan
+        self._advance_past_reserved()
+        self._in_cell = False
+        self._cell_text = []
+
+    # -- HTMLParser hooks ----------------------------------------------------
+
+    def _enter_structure(self) -> None:
+        """A row or cell is starting outside any explicit table."""
+        if self._closed_table:
+            raise MultipleTablesFound("stray cells after a closed table")
+        self._implicit = True
+
+    def _block_boundary(self, tag: str) -> None:
+        if self._in_cell and tag in _BLOCK_TAGS:
+            self._cell_text.append(" ")
+
+    def handle_starttag(self, tag: str, attrs) -> None:
+        tag = tag.lower()
+        if tag == "table":
+            if self._in_cell or self._nested > 0:
+                self._nested += 1  # table inside a cell: flatten to text
+                return
+            if self._in_table or self._closed_table or self._implicit:
+                raise MultipleTablesFound("more than one top-level table in fragment")
+            self._in_table = True
+            return
+        if self._nested > 0:
+            self._block_boundary(tag)  # nested structure contributes text only
+            return
+        if tag == "tr":
+            if not self._in_table:
+                self._enter_structure()
+            self._open_row()
+        elif tag in ("td", "th"):
+            if not self._in_table:
+                self._enter_structure()
+            self._open_cell(dict(attrs))
+        elif tag == "img" and self._in_cell:
+            alt = dict(attrs).get("alt")
+            if alt:
+                self._cell_text.append(f" {alt} ")
+        else:
+            self._block_boundary(tag)
+
+    def handle_endtag(self, tag: str) -> None:
+        tag = tag.lower()
+        if tag == "table":
+            if self._nested > 0:
+                self._nested -= 1
+                self._block_boundary(tag)
+                return
+            if self._in_table:
+                self._close_cell()
+                self._in_table = False
+                self._closed_table = True
+            return
+        if self._nested > 0:
+            self._block_boundary(tag)
+            return
+        if tag in ("td", "th", "tr"):
+            self._close_cell()
+        else:
+            self._block_boundary(tag)
+
+    def handle_data(self, data: str) -> None:
+        if self._in_cell:
+            self._cell_text.append(data)
+
+    def finalize(self) -> NormalizedTable:
+        self._close_cell()
+        if not (self._in_table or self._closed_table or self._implicit):
+            raise NoTableFound("no table markup in fragment")
+        return NormalizedTable.from_cells(self.cells)
 
 
 def normalize_coord_cells_by_loop(cells: Sequence[CoordCell]) -> NormalizedTable:

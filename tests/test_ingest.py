@@ -15,11 +15,13 @@ from conftest import (
     to_rowcol_cells,
 )
 from oracles import (
+    TableHTMLParserIncremental,
     grid_fill_by_matrix,
     normalize_coord_cells_by_loop,
     parse_table_rowcol_by_loop,
     table_from_text_list_by_dispatch,
 )
+from score_eval import ingest
 from score_eval.errors import (
     EmptyDataset,
     MalformedInput,
@@ -232,6 +234,89 @@ class TestParseTableHtml:
             rows = rand_span_rows(rng, max_rows=6, max_cols=6, max_span=3)
             table = parse_table_html(span_rows_html(rows))
             assert cell_tuples(table) == grid_fill_by_matrix(rows)
+
+
+    def test_zero_rowspan_spans_to_the_end_of_the_table(self):
+        table = parse_table_html(
+            '<table><tr><td rowspan="0">a</td><td>b</td></tr><tr><td>c</td></tr></table>'
+        )
+        assert cell_tuples(table) == {(0, 0, 2, 1, "a"), (0, 1, 1, 1, "b"), (1, 1, 1, 1, "c")}
+
+    @pytest.mark.parametrize(
+        "head_end, body",
+        [("</thead>", "<tbody><tr><td>z</td></tr></tbody>"),
+         ("</thead>", "<tr><td>z</td></tr>"),
+         ("", "<tbody><tr><td>z</td></tr></tbody>")],
+        ids=["both-tags", "end-tag-only", "start-tag-only"],
+    )
+    def test_zero_rowspan_stops_at_the_end_of_its_row_group(self, head_end, body):
+        # a row group ends at its end tag, or at the next group's start tag
+        table = parse_table_html(
+            '<table><thead><tr><td rowspan="0">h</td><td>x</td></tr><tr><td>y</td></tr>'
+            f"{head_end}{body}</table>"
+        )
+        assert cell_tuples(table) == {
+            (0, 0, 2, 1, "h"), (0, 1, 1, 1, "x"), (1, 1, 1, 1, "y"), (2, 0, 1, 1, "z"),
+        }
+
+    def test_zero_rowspan_in_the_last_row_spans_one_row(self):
+        table = parse_table_html(
+            '<table><tr><td rowspan="0">a</td><td>b</td></tr><tr><td>c</td></tr>'
+            '<tr><td rowspan="0">d</td></tr></table>'
+        )
+        assert cell_tuples(table) == {
+            (0, 0, 3, 1, "a"), (0, 1, 1, 1, "b"), (1, 1, 1, 1, "c"), (2, 1, 1, 1, "d"),
+        }
+        assert table.n_rows == 3
+
+    def test_same_parses_as_the_incremental_parser(self, monkeypatch):
+        # the parser that placed each cell as its tag arrived gives the same
+        # cells, or the same error; no rowspan here reads as 0, which it read as 1
+        rng = random.Random(26)
+        fragments = [rand_table_fragment(rng) for _ in range(20_000)]
+        got = [parse_table_html_outcome(html) for html in fragments]
+        monkeypatch.setattr(ingest, "_TableHTMLParser", TableHTMLParserIncremental)
+        want = [parse_table_html_outcome(html) for html in fragments]
+        for html, outcome, wanted in zip(fragments, got, want):
+            assert outcome == wanted, html
+        # every outcome occurs often: cells, overlaps, stray and second tables, no table
+        outcomes = Counter(kind for kind, _ in want)
+        assert min(outcomes.values()) >= 200 and len(outcomes) == 4, outcomes
+
+
+# Pieces of HTML table fragments: structure, spans that never read as a
+# rowspan of 0, nested tables, images, block and inline markup, entities
+_FRAGMENT_TAGS = [
+    "<table>", "</table>", "<tr>", "</tr>", "<td>", "</td>", "<th>", "</th>", "<TD>", "<Tr>",
+    "<thead>", "</thead>", "<tbody>", "</tbody>", "<tfoot>", "</tfoot>", "<td/>",
+    "<p>", "</p>", "<div>", "</div>", "<br>", "<span>", "</span>", "<b>", "</b>",
+    '<img alt="a logo">', '<img src="x.png">', "<caption>", "</caption>",
+]
+_FRAGMENT_TEXT = ["a", "b c", " Q1 ", "$100K", "&amp;", "&lt;x", "\n", "  ", "x&nbsp;y"]
+_FRAGMENT_ROWSPANS = ["1", "2", "3", " +2", "2.5", "3px", "x", "-1", "", "12"]
+_FRAGMENT_COLSPANS = _FRAGMENT_ROWSPANS + ["0", "00"]
+
+
+def rand_table_fragment(rng: random.Random) -> str:
+    parts = ["<table>"] if rng.random() < 0.7 else []
+    for _ in range(rng.randint(0, 24)):
+        roll = rng.random()
+        if roll < 0.25:
+            tag = rng.choice(["td", "th", "TD"])
+            rowspan, colspan = rng.choice(_FRAGMENT_ROWSPANS), rng.choice(_FRAGMENT_COLSPANS)
+            parts.append(f'<{tag} rowspan="{rowspan}" COLSPAN="{colspan}">')
+        elif roll < 0.7:
+            parts.append(rng.choice(_FRAGMENT_TAGS))
+        else:
+            parts.append(rng.choice(_FRAGMENT_TEXT))
+    return "".join(parts)
+
+
+def parse_table_html_outcome(html: str) -> tuple:
+    try:
+        return "cells", parse_table_html(html).cells
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestNormalizeCoordCells:

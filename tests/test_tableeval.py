@@ -734,6 +734,31 @@ class TestTeds:
             passes_doubled += got > max(abs(k), 1)  # the first pass's threshold
         assert passes_doubled >= 1_000, passes_doubled  # seen 1288
 
+    def test_row_matches_are_skipped_below_their_integer_floor(self, monkeypatch):
+        # An 8x4 GT against a prediction missing row 3, with one typo and
+        # one merged pair of cells: a match with a tr is aligned only when
+        # the indels it must make leave it able to beat the cheaper indel.
+        # Without that floor the result is the same, from 69 alignments.
+        calls = []
+        align = tableeval._align
+
+        def counting_align(xs, ys, step):
+            calls.append(1)
+            return align(xs, ys, step)
+
+        monkeypatch.setattr(tableeval, "_align", counting_align)
+        words = [f"{w}{r}" for r in range(8) for w in ("alpha", "beta", "gamma", "delta")]
+        gt = grid(*[words[4 * r:4 * r + 4] for r in range(8)])
+        rows = [list(words[4 * r:4 * r + 4]) for r in range(8) if r != 3]
+        rows[4][2] = "gammx5"
+        cells = [Cell(r, c, 1, 1, content) for r, row in enumerate(rows) for c, content in enumerate(row)
+                 if (r, c) not in ((5, 1), (5, 2))]
+        pred = NormalizedTable.from_cells(cells + [Cell(5, 1, 1, 2, "beta6 gamma6")])
+        a, b = build_table_tree(pred), build_table_tree(gt)
+        got = teds(a, b)
+        assert len(calls) <= 17, len(calls)
+        assert got == 1.0 - tree_edit_distance(a, b) / b.size()
+
     @pytest.mark.parametrize("t", [1, 2, 4, 8])
     def test_band_edges_match_the_full_table(self, t):
         # 4x4 cells sharing no letter: a respanned, dropped or added cell
