@@ -109,7 +109,8 @@ class PreparedPage:
     TABLE-category element parsed into cells; the element's text is left
     untouched, as it is the system's own serialization and feeds the raw
     edit distance.  ``texts``, ``bags`` and ``kinds`` hold, per element,
-    its content text, that text's token bag and its ``cmap.kind``.
+    its content text, that text's token bag and its ``cmap.kind``;
+    ``tables`` holds the indices of the elements with a table, in order.
     ``notices`` explains each element whose payload disagrees with its
     category.  ``cmap`` defaults to ``CategoryMap.default()``.
     """
@@ -127,6 +128,7 @@ class PreparedPage:
         self.texts = tuple(content_text(e) for e in elements)
         self.bags = tuple(tokenize(t, tokenizer) for t in self.texts)
         self.kinds = tuple(cmap.kind(e) for e in elements)
+        self.tables = tuple(i for i, e in enumerate(elements) if e.table is not None)
 
     def _parse_payload(self, element: Element, cmap: CategoryMap) -> Element:
         is_table_category = cmap.category(element.raw_label) == "TABLE"

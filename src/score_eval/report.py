@@ -37,6 +37,7 @@ from .textmetrics import (
     levenshtein,
     ned,
     page_text,
+    table_similarities,
     tokens_added,
     tokens_found,
     wer,
@@ -147,7 +148,9 @@ def evaluate_page(
     # one page-level distance feeds raw NED, the adjusted-NED floor and CER
     distance = levenshtein(pred_text, gt_text)
     raw_ned = _ned_from_distance(distance, pred_text, gt_text)
-    adj = max(raw_ned, _alignment_similarity(pred, gt, ned_of))
+    # the page's one table similarity matrix, read by the alignment and by detection
+    table_sims = table_similarities(pred, gt)
+    adj = max(raw_ned, _alignment_similarity(pred, gt, ned_of, table_sims))
     gt_bag = gt.token_bag()
     pred_bag = pred.token_bag()
     try:
@@ -169,38 +172,26 @@ def evaluate_page(
         wer=wer_value,
     )
 
-    gt_at = [i for i, e in enumerate(gt.page.elements) if e.table is not None]
-    pred_at = [i for i, e in enumerate(pred.page.elements) if e.table is not None]
-    gt_tables = [gt.page.elements[i].table for i in gt_at]
-    pred_tables = [pred.page.elements[i].table for i in pred_at]
     table_scores = None
-    if gt_tables or pred_tables:
-        # detection reads the token bags the prepared pages already hold
+    if gt.tables or pred.tables:
         detection = match_tables(
-            [pred.bags[i] for i in pred_at], [gt.bags[i] for i in gt_at], cfg.det_tau, cfg.det_beta
+            [pred.bags[i] for i in pred.tables], [gt.bags[i] for i in gt.tables], cfg.det_tau, cfg.det_beta, table_sims
         )
-        if gt_tables:
-            matched = {gi: pi for pi, gi, _ in detection.pairs}
-            content_sum = index_sum = teds_sum = 0.0
-            for gi, gt_table in enumerate(gt_tables):
-                pi = matched.get(gi)
-                if pi is None:
-                    continue  # a missed table contributes zero
-                accuracy = content_index_accuracy(
-                    pred_tables[pi], gt_table, cfg.shift_n, cfg.index_gate, ned_of
-                )
-                content_sum += accuracy.content_acc
-                index_sum += accuracy.index_acc
-                teds_sum += _table_teds(pred_tables[pi], gt_table, ned_of)
-            count = len(gt_tables)
-            table_scores = TableScores(
-                detection=detection,
-                content_acc=content_sum / count,
-                index_acc=index_sum / count,
-                teds=teds_sum / count,
-            )
-        else:
-            table_scores = TableScores(detection=detection, content_acc=None, index_acc=None, teds=None)
+        content_sum = index_sum = teds_sum = 0.0
+        # GT order keeps the order of the sums; a missed GT table adds nothing
+        for pi, gi, _ in sorted(detection.pairs, key=lambda pair: pair[1]):
+            p, g = pred.page.elements[pred.tables[pi]].table, gt.page.elements[gt.tables[gi]].table
+            accuracy = content_index_accuracy(p, g, cfg.shift_n, cfg.index_gate, ned_of)
+            content_sum += accuracy.content_acc
+            index_sum += accuracy.index_acc
+            teds_sum += _table_teds(p, g, ned_of)
+        count = len(gt.tables)
+        table_scores = TableScores(
+            detection=detection,
+            content_acc=content_sum / count if count else None,
+            index_acc=index_sum / count if count else None,
+            teds=teds_sum / count if count else None,
+        )
 
     matching = match_prepared(gt, pred, ned_of, cfg.sim_threshold)
     confusion = build_confusion(matching, gt.page, pred.page, cmap)
@@ -250,7 +241,7 @@ def aggregate(
     """Unweighted per-page means plus the diff-page statistics.
 
     A page counts as a diff page when its adjusted similarity exceeds
-    the raw one by at least diff_epsilon; metrics undefined for a page
+    the raw one, by at least diff_epsilon; metrics undefined for a page
     (no table block, empty reference) simply do not contribute to their
     mean.
     """
@@ -261,11 +252,8 @@ def aggregate(
         values = [v for v in (getter(r) for r in reports) if v is not None]
         # fsum keeps the mean exact, hence permutation-invariant
         means[name] = math.fsum(values) / len(values) if values else None
-    gaps = [
-        r.fidelity.adjusted_ned - r.fidelity.ned
-        for r in reports
-        if r.fidelity.adjusted_ned - r.fidelity.ned >= cfg.diff_epsilon
-    ]
+    gaps = [gap for gap in (r.fidelity.adjusted_ned - r.fidelity.ned for r in reports)
+            if gap > 0.0 and gap >= cfg.diff_epsilon]
     return AggregateReport(
         page_count=len(reports),
         means=means,

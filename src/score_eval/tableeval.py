@@ -191,21 +191,24 @@ def match_tables(
     gt_bags: Sequence[Counter[str]],
     tau: float = 0.5,
     beta: float = 1.0,
+    sims: Optional[Sequence[Sequence[float]]] = None,
 ) -> DetectionResult:
     """One-to-one table matching maximizing total content similarity.
 
     Each table is given by the token bag of its cell contents
     (``tokenize(table.flat_text(), cfg)``), so a pair's similarity is
-    ``table_similarity``.  Only pairs at or above the similarity
-    threshold count; the optimal assignment is computed exactly,
-    preferring more pairs among equal-similarity optima.
+    ``table_similarity``; ``sims[i][j]``, pred table i against GT table
+    j, is computed from the bags when None.  Only pairs at or above the
+    similarity threshold count; the optimal assignment is computed
+    exactly, preferring more pairs among equal-similarity optima.
     """
     if not 0.0 < tau <= 1.0:
         raise InvalidThreshold(f"tau must be in (0, 1], got {tau}")
     if not (beta > 0.0 and math.isfinite(beta * beta)):
         raise InvalidThreshold(f"beta must be positive with a finite square, got {beta}")
 
-    sims = [[bag_similarity(p, g) for g in gt_bags] for p in pred_bags]
+    if sims is None:
+        sims = [[bag_similarity(p, g) for g in gt_bags] for p in pred_bags]
     profit = [[s + _CARDINALITY_BONUS if s >= tau else 0.0 for s in row] for row in sims]
     pairs = [(i, j, sims[i][j]) for i, j in _max_assignment(profit) if sims[i][j] >= tau]
 

@@ -268,11 +268,17 @@ def greedy_one_to_one(
     return accepted
 
 
-def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", ned_of: Callable[[str, str], float]) -> float:
+def table_similarities(pred: "PreparedPage", gt: "PreparedPage") -> list[list[float]]:
+    """``bag_similarity`` of every table pair: rows follow ``pred.tables``, columns ``gt.tables``."""
+    return [[bag_similarity(pred.bags[i], gt.bags[j]) for j in gt.tables] for i in pred.tables]
+
+
+def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", ned_of: Callable[[str, str], float],
+                          table_sims: Sequence[Sequence[float]]) -> float:
     """The alignment half of ``adjusted_ned``; 0.0 when the prediction has no tokens.
 
-    Tables compare via token-bag overlap of cell contents and only with
-    tables, figures via caption edit similarity and only with figures,
+    Tables compare via ``table_sims`` (``table_similarities``) and only
+    with tables, figures via caption edit similarity and only with figures,
     everything else via edit similarity with any element.  Edit
     similarities are read from ``ned_of(pred text, GT text)``.
     """
@@ -283,18 +289,15 @@ def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", ned_of: Call
 
     # keys (-similarity, GT index, pred index): highest similarity first,
     # ties toward the lower GT index
-    seeds = []
+    seeds = [
+        ((-sim, j, i), 1, i, j)
+        for i, row in zip(pred.tables, table_sims)
+        for j, sim in zip(gt.tables, row)
+        if sim > 0.0
+    ]
     for i, kind in enumerate(pred.kinds):
         for j, gt_kind in enumerate(gt.kinds):
-            if kind == "table":
-                if pred.page.elements[i].table is None or gt.page.elements[j].table is None:
-                    continue
-                sim = bag_similarity(pred.bags[i], gt.bags[j])
-                if sim > 0.0:
-                    seeds.append(((-sim, j, i), 1, i, j))
-            elif kind == "figure" and gt_kind != "figure":
-                continue
-            else:
+            if kind == "paragraph" or kind == gt_kind == "figure":
                 seeds.append(((-ned_upper_bound(pred.texts[i], gt.texts[j]), j, i), 0, i, j))
 
     def exact_key(i: int, j: int) -> Optional[tuple]:
@@ -318,4 +321,5 @@ def adjusted_ned(pred: "DocumentPage", gt: "DocumentPage", cfg: TokenizerConfig 
     """
     raw = ned(page_text(pred), page_text(gt))
     pred_prep, gt_prep = _prepare(pred, cfg), _prepare(gt, cfg)
-    return max(raw, _alignment_similarity(pred_prep, gt_prep, functools.cache(ned)))
+    table_sims = table_similarities(pred_prep, gt_prep)
+    return max(raw, _alignment_similarity(pred_prep, gt_prep, functools.cache(ned), table_sims))

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 INGEST = "tests/test_ingest.py::TestParseTableHtml::"
 SHIFT = ("tests/test_tableeval.py::TestContentIndexAccuracy", "tests/test_tableeval.py::TestLazyAxisScores")
 TEDS = "tests/test_tableeval.py::TestTeds"
+PAGE = "tests/test_report.py::TestEvaluatePage::"
 
 MUTANTS = [
     # HTML table layout
@@ -83,6 +84,14 @@ MUTANTS = [
            "        if bound(1 - first, shift[1 - first]) > content:",
            "        if False:",
            SHIFT),
+    Mutant("shift: a bound key of content + 0.99", "tableeval.py",
+           "        return -(max(bound(0, shift[0]), bound(1, shift[1])) + 1.0), abs(shift[0]) + abs(shift[1]), shift",
+           "        return -(max(bound(0, shift[0]), bound(1, shift[1])) + 0.99), abs(shift[0]) + abs(shift[1]), shift",
+           SHIFT),
+    Mutant("shift: None passed for the page cache", "report.py",
+           "            accuracy = content_index_accuracy(p, g, cfg.shift_n, cfg.index_gate, ned_of)",
+           "            accuracy = content_index_accuracy(p, g, cfg.shift_n, cfg.index_gate, None)",
+           (PAGE + "test_shift_search_reads_the_page_cache",)),
     # row-level TEDS
     Mutant("teds: no integer floor on a match with a tr", "tableeval.py",
            "        floor = abs(len(xs) - len(ys)) if x_row == y_row else len(xs) if x_row else len(ys)",
@@ -100,6 +109,29 @@ MUTANTS = [
            "        reach = (t - abs(k)) // 2",
            "        reach = (t - abs(k)) // 2 - 1",
            (TEDS,)),
+    Mutant("teds: a first pass at t = 1", "tableeval.py",
+           "    t = max(abs(k), 1)",
+           "    t = 1",
+           (TEDS,)),
+    # one table similarity matrix per page
+    Mutant("tables: match_tables not given the page matrix", "report.py",
+           "cfg.det_tau, cfg.det_beta, table_sims",
+           "cfg.det_tau, cfg.det_beta",
+           (PAGE + "test_each_table_pair_similarity_is_computed_once",)),
+    Mutant("tables: matrix rows zipped against the GT's indices", "textmetrics.py",
+           "        for i, row in zip(pred.tables, table_sims)",
+           "        for i, row in zip(gt.tables, table_sims)",
+           ("tests/test_textmetrics.py::TestAdjustedNed::test_alignment_reads_the_table_matrix_as_the_per_pair_oracle",)),
+    # reports and settings
+    Mutant("diff pages: gap > 0 dropped", "report.py",
+           "            if gap > 0.0 and gap >= cfg.diff_epsilon]",
+           "            if gap >= cfg.diff_epsilon]",
+           ("tests/test_report.py::TestAggregate::test_diff_arithmetic_on_synthetic_reports",)),
+    Mutant("settings: lines counted from 0", "ingest.py",
+           "    for lineno, line in enumerate(text.splitlines(), start=1):",
+           "    for lineno, line in enumerate(text.splitlines()):",
+           ("tests/test_report.py::TestCli::test_config_value_error_names_its_line",
+            "tests/test_report.py::TestCli::test_settings_file_error_names_its_place")),
 ]
 
 

@@ -28,7 +28,7 @@ from score_eval.tableeval import (
     _Td,
     flatten,
 )
-from score_eval.textmetrics import ned, ned_upper_bound
+from score_eval.textmetrics import bag_similarity, greedy_one_to_one, ned, ned_upper_bound
 
 
 def edit_distance_recursive(a: str, b: str) -> int:
@@ -444,6 +444,37 @@ def greedy_one_to_one_eager(candidates: Iterable[tuple[float, int, int]], order:
             accepted.append((score, a, b))
     return accepted
 
+
+def alignment_similarity_per_pair(pred, gt, ned_of: Callable[[str, str], float]) -> float:
+    """``textmetrics._alignment_similarity`` as it was before the page's table
+    similarity matrix: the pair loop finds each table pair by the elements'
+    payloads and computes its ``bag_similarity`` itself."""
+    weights = [bag.total() for bag in pred.bags]
+    total_weight = sum(weights)
+    if total_weight == 0:
+        return 0.0
+
+    seeds = []
+    for i, kind in enumerate(pred.kinds):
+        for j, gt_kind in enumerate(gt.kinds):
+            if kind == "table":
+                if pred.page.elements[i].table is None or gt.page.elements[j].table is None:
+                    continue
+                sim = bag_similarity(pred.bags[i], gt.bags[j])
+                if sim > 0.0:
+                    seeds.append(((-sim, j, i), 1, i, j))
+            elif kind == "figure" and gt_kind != "figure":
+                continue
+            else:
+                seeds.append(((-ned_upper_bound(pred.texts[i], gt.texts[j]), j, i), 0, i, j))
+
+    def exact_key(i: int, j: int) -> Optional[tuple]:
+        sim = ned_of(pred.texts[i], gt.texts[j])
+        return (-sim, j, i) if sim > 0.0 else None
+
+    assigned = {i: -key[0] for key, i, _ in greedy_one_to_one(seeds, exact_key)}
+    weighted = math.fsum(weights[i] * assigned.get(i, 0.0) for i in range(len(weights)))
+    return min(1.0, weighted / total_weight)
 
 def _axis_score_per_shift(
     p_strings: Sequence[str],

@@ -23,11 +23,11 @@ from score_eval.tableeval import Cell, NormalizedTable
 from score_eval import textmetrics
 from score_eval.textmetrics import (
     _alignment_similarity,
-    bag_similarity,
     adjusted_ned,
     content_tokens,
     ned,
     page_text,
+    table_similarities,
     tokens_added,
     tokens_found,
 )
@@ -52,7 +52,8 @@ def prepared(page):
 
 def alignment_half(pair):
     """The alignment term of adjusted NED, on the pages evaluation prepares."""
-    return _alignment_similarity(prepared(pair.pred), prepared(pair.gt), functools.cache(ned))
+    pred, gt = prepared(pair.pred), prepared(pair.gt)
+    return _alignment_similarity(pred, gt, functools.cache(ned), table_similarities(pred, gt))
 
 
 def reencode_tables(rng, items, page):
@@ -95,10 +96,7 @@ def distinct_candidates(pair):
     """Whether no two positive similarities an alignment candidate can take are equal."""
     gt, pred = prepared(pair.gt), prepared(pair.pred)
     sims = [ned(p, g) for p in pred.texts for g in gt.texts]
-    gt_tables, pred_tables = (
-        [bag for bag, e in zip(side.bags, side.page.elements) if e.table is not None] for side in (gt, pred)
-    )
-    sims += [bag_similarity(p, g) for p in pred_tables for g in gt_tables]
+    sims += [s for row in table_similarities(pred, gt) for s in row]
     positive = [s for s in sims if s > 0.0]
     return len(positive) == len(set(positive))
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -11,8 +13,8 @@ import pytest
 from conftest import rand_page_pair, write_rand_dataset
 from score_eval.cli import main
 from score_eval.errors import EmptyDataset
-from score_eval.hierarchy import LABELS
-from score_eval.ingest import PagePair, parse_document
+from score_eval.hierarchy import LABELS, PreparedPage
+from score_eval.ingest import PagePair, pair_pages, parse_document
 from score_eval.report import (
     RunConfig,
     aggregate,
@@ -43,21 +45,26 @@ PERFECT_ITEMS = [
 ]
 
 
-def count_neds(monkeypatch) -> list[tuple[str, str]]:
-    """The (s, g) of every ``ned`` call, in every score_eval module that binds it."""
-    from score_eval import textmetrics
-
-    original = textmetrics.ned
+def count_calls(monkeypatch, module, name) -> list[tuple]:
+    """The arguments of every call of ``module.name``, in every score_eval module that binds it."""
+    original = getattr(module, name)
     calls = []
 
-    def counting_ned(s, g):
-        calls.append((s, g))
-        return original(s, g)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("score_eval") and getattr(module, "ned", None) is original:
-            monkeypatch.setattr(module, "ned", counting_ned)
+    for module_name, bound in list(sys.modules.items()):
+        if module_name.startswith("score_eval") and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counting)
     return calls
+
+
+def count_neds(monkeypatch) -> list[tuple[str, str]]:
+    """The (s, g) of every ``ned`` call."""
+    from score_eval import textmetrics
+
+    return count_calls(monkeypatch, textmetrics, "ned")
 
 
 class TestEvaluatePage:
@@ -153,16 +160,7 @@ class TestEvaluatePage:
         # table detection reads the token bags of the prepared pages
         from score_eval import textmetrics
 
-        original = textmetrics.tokenize
-        calls = []
-
-        def counting_tokenize(text, cfg=textmetrics.DEFAULT_TOKENIZER):
-            calls.append(text)
-            return original(text, cfg)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("score_eval") and getattr(module, "tokenize", None) is original:
-                monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        calls = count_calls(monkeypatch, textmetrics, "tokenize")
         gt_items = PERFECT_ITEMS + [{"type": "Table", "text": [
             {"x": 0, "y": 0, "w": 1, "h": 1, "content": "Q3"},
             {"x": 1, "y": 0, "w": 1, "h": 1, "content": "$300K"},
@@ -173,6 +171,25 @@ class TestEvaluatePage:
         report = evaluate_page(simple_pair(gt_items, pred_items))
         assert report.table.detection.true_positives == 2
         assert len(calls) == len(gt_items) + len(pred_items)
+
+    def test_each_table_pair_similarity_is_computed_once(self, monkeypatch):
+        # detection and the adjusted-NED alignment read one matrix per page
+        from score_eval import tableeval, textmetrics
+
+        rng = random.Random(644)
+        pairs = [rand_page_pair(rng, f"p{i:03d}") for i in range(300)]
+        sims = count_calls(monkeypatch, textmetrics, "bag_similarity")
+        detections = count_calls(monkeypatch, tableeval, "match_tables")
+        several = 0
+        for pair in pairs:
+            n_pred, n_gt = (len(PreparedPage(page).tables) for page in (pair.pred, pair.gt))
+            sims.clear()
+            detections.clear()
+            evaluate_page(pair)
+            assert len(sims) == n_pred * n_gt
+            assert len(detections) == (1 if n_pred or n_gt else 0)
+            several += n_pred * n_gt > 1
+        assert several > 20
 
     def test_prediction_without_tables(self):
         pred_items = [item for item in PERFECT_ITEMS if item["type"] != "Table"]
@@ -302,7 +319,9 @@ class TestAggregate:
         assert agg.diff_avg == pytest.approx(sum(expected) / len(expected))
 
     def test_diff_arithmetic_on_synthetic_reports(self):
-        # pages scoring (ned, adjusted) = (0.5, 0.5) and (0.4, 0.6)
+        # pages scoring (ned, adjusted) = (0.5, 0.5) and (0.4, 0.6); a page
+        # whose adjusted similarity does not exceed the raw one is no diff
+        # page, even at eps 0
         from score_eval.hierarchy import ConfusionMatrix
         from score_eval.report import PageReport
         from score_eval.textmetrics import FidelityScores
@@ -312,9 +331,10 @@ class TestAggregate:
             return PageReport(page_id, fidelity, None, 1.0, ConfusionMatrix.zeros(), [])
 
         reports = [page_with(0.5, 0.5, "a"), page_with(0.4, 0.6, "b")]
-        agg = aggregate(reports, RunConfig(diff_epsilon=0.01))
-        assert agg.diff_count == 1
-        assert agg.diff_avg == pytest.approx(0.2)
+        for eps in (0.01, 0.0):
+            agg = aggregate(reports, RunConfig(diff_epsilon=eps))
+            assert agg.diff_count == 1
+            assert agg.diff_avg == pytest.approx(0.2)
 
     def test_diff_count_monotone_in_epsilon(self):
         rng = random.Random(89)
@@ -861,3 +881,61 @@ def test_import_and_evaluation_load_no_numpy_or_scipy(fixtures_dir):
         env=env, capture_output=True, text=True, check=True,
     )
     assert result.stdout.splitlines() == ["1", "[]"]
+
+
+# sha256 of report.json, pages.csv and summary.md rendered in process for the
+# benchmark's corpora (page counts as in perfbench/run.py), seeds 1 and 2.
+# A change that moves report bytes updates these and says why in CHANGES.md.
+_REPORT_DIGESTS = {
+    ("small-pages", 1): (
+        "30c4645f4706a391da978b5599d71c9b429cdb76a2a64fd093c566f4d45d8b16",
+        "2c6e28759105d434396219837c7bcb045e189ac60d47098fdcbacf90d633e287",
+        "59155bf16da60bf8048c731e4efdd30e7b81901cfdf8caa40cd9759d909121ec",
+    ),
+    ("small-pages", 2): (
+        "f1552942f3485dc674a344e0f32bb7ebe44c0c4c812a688cb12aeca56fc5508d",
+        "cd2f71f0af5ed9a5c9d9f19768a2b2cb671cc49e5fa565bbde128876fa6a3847",
+        "ab253b474127dbd8578a06a3aa42c8a03d5be4e1bef1fcdcc842b6e175ef91b9",
+    ),
+    ("text-pages", 1): (
+        "ed59ad32bccbce42b9e72fbd006652633fcd6d6c2b8889c2184267f7bb56a999",
+        "cc42cac26a5e2ba46a2ac1a721cf8c187137645f338ada7328fbff04fe878e96",
+        "c33fe5af2546db29a8a44fbfd2f021d4a1873abcd158a94ed5dc7909b4a87372",
+    ),
+    ("text-pages", 2): (
+        "d71755c83e4864c9f6cd9c9fde658bd20967ad49d022c1f91e3de222e9c6019f",
+        "b64a964e86cbdd4384cc4074be516293f9f2b7582c6d34d8c73f2873cf387e30",
+        "12ccf0b93735b87a79ad99f32591d5bd6100ca91b71fbba60d8e3225a5bb4e55",
+    ),
+    ("table-pages", 1): (
+        "19a2cd2e81601d90a3b69f56da95f5b001b95304419f7d1a93e070b3651447e4",
+        "d944f59cd3abb75ac43219d95236a55b642af37447b69c508e9ff074c2001607",
+        "66905a18d1b6300b3e28947b660e7dabb7218b440af8cf9143cba6f639c1df9e",
+    ),
+    ("table-pages", 2): (
+        "35d5ffff347bc921aaa63822314908313e29fc123dc66baed874854af491abab",
+        "ead99c1d912a53fe2aa32cfa33778b494007dee695c2264e6ff65b3b20edbecb",
+        "37e35990179f954096b9766cd7e9b921acd2038ea4b24ce506d4b5ac60fcc7d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload, pages, seed", [
+    (workload, pages, seed)
+    for workload, pages in (("small-pages", 700), ("text-pages", 12), ("table-pages", 8))
+    for seed in (1, 2)
+])
+def test_benchmark_corpora_render_the_pinned_report_bytes(tmp_path, workload, pages, seed):
+    # the benchmark's seeded generator, imported by path and only read
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    files, _ = corpus.make_corpus(workload, seed, pages)
+    corpus.write_corpus(files, tmp_path)
+    pairs, notices = pair_pages(tmp_path / "gt", tmp_path / "pred")
+    cfg = RunConfig()
+    reports = evaluate_pairs(pairs, cfg)
+    agg = aggregate(reports, cfg, notices)
+    digests = tuple(hashlib.sha256(render(agg, reports, fmt)).hexdigest() for fmt in ("json", "csv", "markdown"))
+    assert digests == _REPORT_DIGESTS[workload, seed]

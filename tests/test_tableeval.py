@@ -355,6 +355,15 @@ class TestContentIndexAccuracy:
         assert acc == content_index_accuracy_per_shift(pred, gt, 6)
         assert acc.best_shift == (-1, 0)
 
+    def test_bound_key_leaves_room_for_a_whole_index(self):
+        # a 1x101 table moved one column right: rows read alike at every
+        # column shift, so content is 1.0 at (0, 0) and at (0, 1), and only
+        # the index decides, 100/101 against 1.0; a bound key that added
+        # less than 1.0 to the content bound would stop after (0, 0)
+        gt = grid([f"c{c}" for c in range(101)])
+        pred = translate_table(gt, 0, 1)
+        assert content_index_accuracy(pred, gt, 1, 0.0) == CellAccuracy(1.0, 1.0, (0, 1))
+
     def test_best_first_search_on_tied_keys(self):
         # (0, 0), (-1, 0) and (1, 0) all read content 0.5; the last two tie
         # on the bound key but for the shift, and only (1, 0) lands "a" on

@@ -1,10 +1,13 @@
+import functools
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from conftest import to_html
 from oracles import (
+    alignment_similarity_per_pair,
     bag_similarity_by_sums,
     edit_distance_dp,
     edit_distance_recursive,
@@ -13,10 +16,12 @@ from oracles import (
     tokens_found_by_sums,
 )
 from score_eval.errors import EmptyReference
+from score_eval.hierarchy import PreparedPage
 from score_eval.ingest import DocumentPage, Element
 from score_eval.tableeval import Cell, NormalizedTable
 from score_eval.textmetrics import (
     TokenizerConfig,
+    _alignment_similarity,
     adjusted_ned,
     bag_similarity,
     cer,
@@ -26,6 +31,7 @@ from score_eval.textmetrics import (
     ned,
     ned_upper_bound,
     page_text,
+    table_similarities,
     tokenize,
     tokens_added,
     tokens_found,
@@ -427,6 +433,43 @@ class TestAdjustedNed:
             by_gt = greedy_one_to_one_eager(candidates, lambda c: (-c[0], c[2], c[1]))
             by_pred = greedy_one_to_one_eager(candidates, lambda c: (-c[0], c[1], c[2]))
             assert set(by_gt) == set(by_pred)
+
+    def test_alignment_reads_the_table_matrix_as_the_per_pair_oracle(self):
+        # Pages mix tables (coordinate cells, HTML, cells under a non-table
+        # label), TABLE elements without cells, figures and paragraphs, over
+        # a few words, so that table similarities overlap and tie.
+        rng = random.Random(2022)
+        words = ("q1", "q2", "north", "south", "$100K", "total")
+
+        def text(lo, hi):
+            return " ".join(rng.choice(words) for _ in range(rng.randint(lo, hi)))
+
+        def element():
+            roll = rng.random()
+            if roll < 0.35:
+                table = grid(*[[text(1, 2) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))])
+                label, markup = rng.choice((("Table", False), ("Table", True), ("Chart", False)))
+                return Element(label, to_html(table)) if markup else Element(label, table.flat_text(), table)
+            if roll < 0.5:  # parses to no table
+                return Element("Table", rng.choice((text(0, 3), f"<p>{text(1, 3)}</p>")))
+            if roll < 0.65:
+                return Element(rng.choice(("Figure", "Image")), text(0, 4))
+            return Element(rng.choice(("Text", "Title", "Caption")), text(0, 5))
+
+        seen = Counter()
+        for _ in range(10_000):
+            gt_elements = [element() for _ in range(rng.randint(0, 5))]
+            pred_elements = [e for e in gt_elements if rng.random() < 0.6]
+            pred_elements += [element() for _ in range(rng.randint(0, 3))]
+            rng.shuffle(pred_elements)
+            gt, pred = (PreparedPage(DocumentPage("t", side)) for side in (gt_elements, pred_elements))
+            ned_of = functools.cache(ned)
+            got = _alignment_similarity(pred, gt, ned_of, table_similarities(pred, gt))
+            assert got == alignment_similarity_per_pair(pred, gt, ned_of)
+            seen["several tables per side"] += len(pred.tables) > 1 and len(gt.tables) > 1
+            seen["table element without cells"] += pred.kinds.count("table") > len(pred.tables)
+            seen["figures on both sides"] += "figure" in pred.kinds and "figure" in gt.kinds
+        assert min(seen.values()) > 500, seen
 
 
 class TestLazyGreedy:
