@@ -12,6 +12,7 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import EmptyReference
@@ -28,39 +29,41 @@ def _bit_parallel_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     for approximate string matching based on dynamic programming", JACM
     46(3)) in the global edit-distance form of Hyyrö (2001, "Explaining
     and extending the bit-parallel approximate string matching algorithm
-    of Myers").  The shorter sequence is the pattern: bit i of ``vp`` or
-    ``vn`` marks a vertical delta D[i+1][j] - D[i][j] of +1 or -1.  Match
-    masks are keyed by symbol, so characters and tokens work alike.  The
+    of Myers").  The longer sequence is the pattern, so the Python loop
+    runs once per symbol of the shorter one: bit i of ``vp`` or ``vn``
+    marks a vertical delta D[i+1][j] - D[i][j] of +1 or -1.  Match masks
+    are keyed by symbol, so characters and tokens work alike.  The
     horizontal positive delta shifts in with a carry-in of 1 because
     D[0][j] = j; without that +1 the recurrence would compute substring
-    search (D[0][j] = 0) instead of global edit distance.  Python ints are
-    unbounded, so every complement and left shift is masked to the pattern
-    width; bits above it never reach the bits below, but unmasked they
-    would grow the words by one bit per column.
+    search (D[0][j] = 0) instead of global edit distance.
+
+    Python ints are unbounded, so every left shift is masked to the
+    pattern width: a bit left above it would be counted by the readout
+    below.  The complements are an XOR with ``width``, not
+    ``~x & width``: ``~`` makes a negative int, whose ``&`` goes through
+    a two's-complement conversion.  The XOR is exact because the only bit
+    above ``width`` is the carry of the addition, at bit ``len(pattern)``;
+    it reaches ``hp`` alone, and the masked shift drops it.  The distance
+    is read out once, after the last column: D[0][n] = n plus the
+    vertical deltas of that column.
     """
-    if len(a) < len(b):
+    if len(a) > len(b):
         a, b = b, a
     masks: dict[Hashable, int] = {}
     for i, symbol in enumerate(b):
         masks[symbol] = masks.get(symbol, 0) | (1 << i)
     width = (1 << len(b)) - 1
-    top = 1 << (len(b) - 1)
-    vp, vn, dist = width, 0, len(b)
-    for symbol in a:
-        eq = masks.get(symbol, 0)
+    vp, vn = width, 0
+    for eq in map(masks.get, a, repeat(0)):
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | (~(xh | vp) & width)
+        hp = vn | ((xh | vp) ^ width)
         hn = vp & xh
-        if hp & top:
-            dist += 1
-        elif hn & top:
-            dist -= 1
         hp = ((hp << 1) | 1) & width
         hn = (hn << 1) & width
-        vp = hn | (~(xv | hp) & width)
+        vp = hn | ((xv | hp) ^ width)
         vn = hp & xv
-    return dist
+    return len(a) + vp.bit_count() - vn.bit_count()
 
 
 def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:

@@ -40,8 +40,26 @@ INGEST = "tests/test_ingest.py::TestParseTableHtml::"
 SHIFT = ("tests/test_tableeval.py::TestContentIndexAccuracy", "tests/test_tableeval.py::TestLazyAxisScores")
 TEDS = "tests/test_tableeval.py::TestTeds"
 PAGE = "tests/test_report.py::TestEvaluatePage::"
+KERNEL = ("tests/test_textmetrics.py::TestKernelDifferential::test_equals_the_branching_kernel",)
 
 MUTANTS = [
+    # edit-distance kernel
+    Mutant("kernel: no carry-in of 1", "textmetrics.py",
+           "        hp = ((hp << 1) | 1) & width",
+           "        hp = (hp << 1) & width",
+           KERNEL),
+    Mutant("kernel: negative vertical deltas added", "textmetrics.py",
+           "    return len(a) + vp.bit_count() - vn.bit_count()",
+           "    return len(a) + vp.bit_count() + vn.bit_count()",
+           KERNEL),
+    Mutant("kernel: an unmasked hn << 1", "textmetrics.py",
+           "        hn = (hn << 1) & width",
+           "        hn = hn << 1",
+           KERNEL),
+    Mutant("kernel: vp left out of the hp complement", "textmetrics.py",
+           "        hp = vn | ((xh | vp) ^ width)",
+           "        hp = vn | (xh ^ width)",
+           KERNEL),
     # HTML table layout
     Mutant("layout: skip one covered column only", "ingest.py",
            "                while (r, c) in taken:",

@@ -72,6 +72,39 @@ def edit_distance_dp(a: Sequence, b: Sequence) -> int:
     return prev[-1]
 
 
+def bit_parallel_distance_branching(a: Sequence, b: Sequence) -> int:
+    """Myers' bit-vector edit distance as ``textmetrics`` computed it before.
+
+    The shorter of two non-empty sequences is the bit pattern, so the
+    loop runs once per symbol of the longer one.  Each complement is
+    ``~x & width``, and two top-bit tests per column keep a running
+    distance, starting from the pattern length.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    masks: dict = {}
+    for i, symbol in enumerate(b):
+        masks[symbol] = masks.get(symbol, 0) | (1 << i)
+    width = (1 << len(b)) - 1
+    top = 1 << (len(b) - 1)
+    vp, vn, dist = width, 0, len(b)
+    for symbol in a:
+        eq = masks.get(symbol, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | (~(xh | vp) & width)
+        hn = vp & xh
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = ((hp << 1) | 1) & width
+        hn = (hn << 1) & width
+        vp = hn | (~(xv | hp) & width)
+        vn = hp & xv
+    return dist
+
+
 def _preorder(root: TableTree) -> list[TableTree]:
     nodes = []
 

@@ -9,6 +9,7 @@ from conftest import to_html
 from oracles import (
     alignment_similarity_per_pair,
     bag_similarity_by_sums,
+    bit_parallel_distance_branching,
     edit_distance_dp,
     edit_distance_recursive,
     greedy_one_to_one_eager,
@@ -22,6 +23,7 @@ from score_eval.tableeval import Cell, NormalizedTable
 from score_eval.textmetrics import (
     TokenizerConfig,
     _alignment_similarity,
+    _bit_parallel_distance,
     adjusted_ned,
     bag_similarity,
     cer,
@@ -120,7 +122,7 @@ class TestKernelDifferential:
     """levenshtein against the plain DP where the bit-parallel kernel can slip.
 
     Both argument orders are checked, because the kernel takes the
-    shorter side as its bit pattern.
+    longer side as its bit pattern.
     """
 
     @staticmethod
@@ -166,6 +168,40 @@ class TestKernelDifferential:
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
             self.check(a, b)
         assert levenshtein("\U0001f600", "\U0001f601") == 1
+
+    def test_equals_the_branching_kernel(self):
+        """The kernel, alone and behind levenshtein, == the kernel it replaced.
+
+        The old kernel took the shorter side as its bit pattern, complemented
+        with ``~`` and kept a running distance by top-bit tests.  Lengths
+        straddle 30 and 60 (Python int digits) and 64 (machine words).
+        """
+        rng = random.Random(28)
+        edges = (1, 2, 29, 30, 31, 59, 60, 61, 63, 64, 65)
+        alphabets = ("ab", "abcdef", "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN",
+                     "a\U0001d538\U0001f600\U00010348")
+        words = "the a cat dog sat on mat 2024 $100K north".split()
+        pairs = []
+        for alphabet in alphabets:
+            for la in edges:
+                a = [rng.choice(alphabet) for _ in range(la)]
+                pairs += [(a, [rng.choice(alphabet) for _ in range(lb)]) for lb in edges]
+                pairs.append((a, [rng.choice(alphabet) if rng.random() < 0.2 else c for c in a]))
+            for n in (1000, 1600, 2500):
+                a = [rng.choice(alphabet) for _ in range(n)]
+                pairs.append((a, _mutate(rng, a, alphabet, 0.1)))
+                pairs.append((a, [rng.choice(alphabet) for _ in range(rng.randint(1000, 2500))]))
+        pairs = [("".join(a), "".join(b)) for a, b in pairs]
+        for la in edges:
+            a = [rng.choice(words) for _ in range(la)]
+            pairs += [(a, [rng.choice(words) for _ in range(lb)]) for lb in edges]
+            pairs.append((a, _mutate(rng, a, "xyz", 0.2) or ["x"]))
+        for a, b in pairs:
+            expected = bit_parallel_distance_branching(a, b)
+            assert _bit_parallel_distance(a, b) == expected
+            assert _bit_parallel_distance(b, a) == expected
+            assert levenshtein(a, b) == expected
+            assert levenshtein(b, a) == expected
 
     def test_affix_trimming_empties_one_side(self):
         rng = random.Random(9)
