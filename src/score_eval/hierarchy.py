@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -112,7 +111,8 @@ class PreparedPage:
     its content text, that text's token bag and its ``cmap.kind``;
     ``tables`` holds the indices of the elements with a table, in order.
     ``notices`` explains each element whose payload disagrees with its
-    category.  ``cmap`` defaults to ``CategoryMap.default()``.
+    category.  ``cmap`` defaults to ``CategoryMap.default()``.  The page-level
+    functions take a prepared page as it is, with its own tokenizer and map.
     """
 
     def __init__(
@@ -144,41 +144,31 @@ class PreparedPage:
             self.notices.append(f"element {element.source_order}: non-table element carries a table payload")
         return element
 
-    def token_bag(self) -> Counter[str]:
-        """Token bag over the whole page's content."""
-        merged: Counter[str] = Counter()
-        for bag in self.bags:
-            merged.update(bag)
-        return merged
+    @classmethod
+    def of(cls, page: Union[DocumentPage, "PreparedPage"],
+           tokenizer: TokenizerConfig = DEFAULT_TOKENIZER) -> "PreparedPage":
+        """``page`` itself if prepared, else prepared with ``tokenizer`` and the default category map."""
+        return page if isinstance(page, cls) else cls(page, tokenizer)
 
 
 def match_elements(
-    gt: DocumentPage,
-    pred: DocumentPage,
-    sim_threshold: float = 0.5,
+    gt: Union[DocumentPage, PreparedPage], pred: Union[DocumentPage, PreparedPage],
+    sim_threshold: float = 0.5, ned_of: Optional[Callable[[str, str], float]] = None,
 ) -> list[tuple[int, int, float]]:
     """Greedy one-to-one element alignment by text similarity.
 
     Pairs are accepted highest score first, ties broken by reading-order
     proximity and then by the lower GT index; only pairs at or above the
     threshold survive.  Returns (gt index, pred index, score) triples.
-    Pages are prepared as ``evaluate_page`` prepares them, with the
-    default category map.
-    """
-    gt_prep, pred_prep = PreparedPage(gt), PreparedPage(pred)
-    return match_prepared(gt_prep, pred_prep, functools.cache(ned), sim_threshold)
-
-
-def match_prepared(
-    gt: PreparedPage, pred: PreparedPage, ned_of: Callable[[str, str], float], sim_threshold: float
-) -> list[tuple[int, int, float]]:
-    """``match_elements`` on prepared pages, reading NEDs from ``ned_of(pred text, GT text)``.
-
-    A pair's NED is read only when its length bound (``ned_upper_bound``)
-    comes first among the pairs whose ends are both still free.
+    Pages go through ``PreparedPage.of``.  A pair's NED is read from
+    ``ned_of(pred text, GT text)`` (default: a fresh ``functools.cache(ned)``)
+    only when its length bound (``ned_upper_bound``) comes first among the
+    pairs whose ends are both still free.
     """
     if not 0.0 <= sim_threshold <= 1.0:
         raise InvalidThreshold(f"sim_threshold must be in [0, 1], got {sim_threshold}")
+    gt, pred = PreparedPage.of(gt), PreparedPage.of(pred)
+    ned_of = ned_of if ned_of is not None else functools.cache(ned)
 
     def gap(i: int, j: int) -> int:  # reading-order distance, the first tie break
         return abs(gt.page.elements[i].source_order - pred.page.elements[j].source_order)

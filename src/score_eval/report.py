@@ -19,7 +19,7 @@ from .hierarchy import (
     PreparedPage,
     build_confusion,
     consistency_score,
-    match_prepared,
+    match_elements,
 )
 from .ingest import PagePair
 from .tableeval import (
@@ -34,6 +34,7 @@ from .textmetrics import (
     _alignment_similarity,
     _cer_from_distance,
     _ned_from_distance,
+    content_tokens,
     levenshtein,
     ned,
     page_text,
@@ -151,8 +152,8 @@ def evaluate_page(
     # the page's one table similarity matrix, read by the alignment and by detection
     table_sims = table_similarities(pred, gt)
     adj = max(raw_ned, _alignment_similarity(pred, gt, ned_of, table_sims))
-    gt_bag = gt.token_bag()
-    pred_bag = pred.token_bag()
+    gt_bag = content_tokens(gt)
+    pred_bag = content_tokens(pred)
     try:
         cer_value: Optional[float] = _cer_from_distance(distance, gt_text)
     except EmptyReference:
@@ -193,7 +194,7 @@ def evaluate_page(
             teds=teds_sum / count if count else None,
         )
 
-    matching = match_prepared(gt, pred, ned_of, cfg.sim_threshold)
+    matching = match_elements(gt, pred, cfg.sim_threshold, ned_of)
     confusion = build_confusion(matching, gt.page, pred.page, cmap)
     consistency = consistency_score(confusion)
 

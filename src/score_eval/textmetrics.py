@@ -94,7 +94,7 @@ def _ned_from_distance(distance: int, s: str, g: str) -> float:
     longest = max(len(s), len(g))
     if longest == 0:
         return 1.0
-    return 1.0 - min(max(distance / longest, 0.0), 1.0)
+    return 1.0 - distance / longest
 
 
 def ned(s: str, g: str) -> float:
@@ -223,16 +223,23 @@ def content_text(element: "Element") -> str:
     return element.text
 
 
-def _prepare(page: "DocumentPage", cfg: TokenizerConfig) -> "PreparedPage":
-    """The page as ``evaluate_page`` prepares it, with the default category map."""
+def _prepare(page: "DocumentPage | PreparedPage", cfg: TokenizerConfig) -> "PreparedPage":
+    """``PreparedPage.of(page, cfg)``: a ``DocumentPage`` prepared as ``evaluate_page`` prepares it."""
     from .hierarchy import PreparedPage  # imported here: hierarchy imports this module
 
-    return PreparedPage(page, cfg)
+    return PreparedPage.of(page, cfg)
 
 
-def content_tokens(page: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> Counter[str]:
-    """Token bag over the page's content; table markup counts by its cell contents."""
-    return _prepare(page, cfg).token_bag()
+def content_tokens(page: "DocumentPage | PreparedPage",
+                   cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> Counter[str]:
+    """Token bag over the page's content; table markup counts by its cell contents.
+
+    ``cfg`` tokenizes a ``DocumentPage``; a ``PreparedPage`` keeps its own tokenizer.
+    """
+    merged: Counter[str] = Counter()
+    for bag in _prepare(page, cfg).bags:
+        merged.update(bag)
+    return merged
 
 
 def greedy_one_to_one(
@@ -312,17 +319,17 @@ def _alignment_similarity(pred: "PreparedPage", gt: "PreparedPage", ned_of: Call
     return min(1.0, weighted / total_weight)
 
 
-def adjusted_ned(pred: "DocumentPage", gt: "DocumentPage", cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> float:
+def adjusted_ned(pred: "DocumentPage | PreparedPage", gt: "DocumentPage | PreparedPage",
+                 cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> float:
     """Edit similarity lifted by word-weighted per-element alignment.
 
     The raw page-text similarity is a floor; on top of it, each
     prediction element greedily claims its most similar ground-truth
     element (one claim per GT element, highest similarity first, ties
     broken toward the lower GT index) and contributes its similarity
-    weighted by its token count.  Pages are prepared as ``evaluate_page``
-    prepares them, with the default category map.
+    weighted by its token count.  A ``DocumentPage`` is prepared as
+    ``evaluate_page`` prepares it, with the default category map.
     """
-    raw = ned(page_text(pred), page_text(gt))
-    pred_prep, gt_prep = _prepare(pred, cfg), _prepare(gt, cfg)
-    table_sims = table_similarities(pred_prep, gt_prep)
-    return max(raw, _alignment_similarity(pred_prep, gt_prep, functools.cache(ned), table_sims))
+    pred, gt = _prepare(pred, cfg), _prepare(gt, cfg)
+    raw = ned(page_text(pred.page), page_text(gt.page))
+    return max(raw, _alignment_similarity(pred, gt, functools.cache(ned), table_similarities(pred, gt)))

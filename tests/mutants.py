@@ -40,6 +40,7 @@ INGEST = "tests/test_ingest.py::TestParseTableHtml::"
 SHIFT = ("tests/test_tableeval.py::TestContentIndexAccuracy", "tests/test_tableeval.py::TestLazyAxisScores")
 TEDS = "tests/test_tableeval.py::TestTeds"
 PAGE = "tests/test_report.py::TestEvaluatePage::"
+MATCH = "tests/test_hierarchy.py::TestMatchElements::"
 KERNEL = ("tests/test_textmetrics.py::TestKernelDifferential::test_equals_the_branching_kernel",)
 
 MUTANTS = [
@@ -131,6 +132,36 @@ MUTANTS = [
            "    t = max(abs(k), 1)",
            "    t = 1",
            (TEDS,)),
+    # element matching and the confusion matrix
+    Mutant("matching: a pair at the threshold not seeded", "hierarchy.py",
+           "            if bound >= sim_threshold:",
+           "            if bound > sim_threshold:",
+           (MATCH + "test_a_pair_at_the_threshold_is_kept",)),
+    Mutant("matching: no reading-order gap in the exact key", "hierarchy.py",
+           "        return (-score, gap(i, j), i, j) if score >= sim_threshold else None",
+           "        return (-score, 0, i, j) if score >= sim_threshold else None",
+           (MATCH + "test_equal_scores_prefer_the_nearby_element_once_both_are_computed",)),
+    Mutant("greedy: a taken b offered again", "textmetrics.py",
+           "        if a in taken_a or b in taken_b:",
+           "        if a in taken_a:",
+           (MATCH + "test_order_tiebreak_prefers_nearby_elements",
+            "tests/test_textmetrics.py::TestLazyGreedy::test_matches_eager_oracle")),
+    Mutant("prepare: a prepared page re-prepared with the default tokenizer", "hierarchy.py",
+           "        return page if isinstance(page, cls) else cls(page, tokenizer)",
+           "        return cls(page.page if isinstance(page, cls) else page, tokenizer)",
+           ("tests/test_hierarchy.py::TestPreparedPageOf::test_a_prepared_page_keeps_its_tokenizer_and_category_map",)),
+    Mutant("matching: the page cache not passed", "report.py",
+           "    matching = match_elements(gt, pred, cfg.sim_threshold, ned_of)",
+           "    matching = match_elements(gt, pred, cfg.sim_threshold)",
+           (PAGE + "test_matching_and_token_bags_go_through_the_public_functions",)),
+    Mutant("consistency: NOMATCH scored as a category", "hierarchy.py",
+           "    for k, _ in enumerate(CATEGORIES):",
+           "    for k, _ in enumerate(LABELS):",
+           ("tests/test_hierarchy.py::TestConsistencyScore::test_worked_example_macro_f1",)),
+    Mutant("confusion: an unmatched prediction in the GT row", "hierarchy.py",
+           "            matrix.add(NOMATCH, cmap.category(p.raw_label))",
+           "            matrix.add(cmap.category(p.raw_label), NOMATCH)",
+           ("tests/test_hierarchy.py::TestBuildConfusion::test_empty_gt_all_nomatch_row",)),
     # one table similarity matrix per page
     Mutant("tables: match_tables not given the page matrix", "report.py",
            "cfg.det_tau, cfg.det_beta, table_sims",

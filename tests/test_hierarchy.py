@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import rand_page_pair
 from oracles import consistency_score_dense
 from score_eval import hierarchy
 from score_eval.errors import InvalidThreshold, MalformedInput
@@ -11,11 +12,13 @@ from score_eval.hierarchy import (
     NOMATCH,
     CategoryMap,
     ConfusionMatrix,
+    PreparedPage,
     build_confusion,
     consistency_score,
     match_elements,
 )
 from score_eval.ingest import DocumentPage, Element
+from score_eval.textmetrics import TokenizerConfig, adjusted_ned, content_tokens
 
 
 def total(counts: list[list[int]]) -> int:
@@ -110,6 +113,19 @@ class TestMatchElements:
         matching = match_elements(gt, pred, sim_threshold=0.5)
         assert [(i, j) for i, j, _ in matching] == [(1, 1)]
 
+    def test_equal_scores_prefer_the_nearby_element_once_both_are_computed(self):
+        # both pairs have length bound 1 and NED 0.75, so both exact keys are
+        # on the heap before either is accepted; the reading-order gap (0 for
+        # the second prediction, 1 for the first) decides, not the index
+        gt = page(("text", "unrelated filler text"), ("text", "abcd"))
+        pred = page(("text", "abcx"), ("text", "abcy"))
+        assert match_elements(gt, pred, 0.5) == [(1, 1, 0.75)]
+
+    def test_a_pair_at_the_threshold_is_kept(self):
+        # length bound and NED are both 1 - 2/4 = 0.5
+        assert match_elements(page(("text", "abcd")), page(("text", "ab")), 0.5) == [(0, 0, 0.5)]
+        assert match_elements(page(("text", "abcd")), page(("text", "ab")), 0.51) == []
+
     def test_determinism_under_storage_order(self):
         rng = random.Random(73)
         texts = ["one common phrase", "another body of text", "third paragraph here"]
@@ -126,6 +142,32 @@ class TestMatchElements:
             for i, j, s in match_elements(gt, pred_shuffled, 0.3)
         )
         assert remapped == sorted((i, j, round(s, 12)) for i, j, s in baseline)
+
+
+class TestPreparedPageOf:
+    def test_page_functions_read_a_prepared_page_as_its_document_page(self):
+        rng = random.Random(29)
+        for k in range(200):
+            pair = rand_page_pair(rng, f"p{k:03d}")
+            gt, pred = PreparedPage(pair.gt), PreparedPage(pair.pred)
+            assert PreparedPage.of(gt) is gt and PreparedPage.of(pred) is pred
+            assert match_elements(gt, pred) == match_elements(pair.gt, pair.pred)
+            assert match_elements(gt, pair.pred, 0.3) == match_elements(pair.gt, pred, 0.3)
+            assert content_tokens(gt) == content_tokens(pair.gt)
+            assert content_tokens(pred) == content_tokens(pair.pred)
+            assert adjusted_ned(pred, gt) == adjusted_ned(pair.pred, pair.gt)
+
+    def test_a_prepared_page_keeps_its_tokenizer_and_category_map(self):
+        markup = "<table><tr><td>Alpha</td><td>Beta</td></tr></table>"
+        doc = page(("grid", markup))
+        prepared = PreparedPage(doc, TokenizerConfig(case_fold=False), CategoryMap({"grid": "TABLE"}))
+        assert PreparedPage.of(prepared) is prepared
+        # the custom map reads the markup as cells, the default map as text
+        assert content_tokens(prepared) == {"Alpha": 1, "Beta": 1}
+        assert content_tokens(doc) == {markup.casefold(): 1}
+        pred = page(("text", "Alpha Beta"))
+        assert match_elements(prepared, pred) == [(0, 0, 1.0)]
+        assert match_elements(doc, pred) == []
 
 
 class TestBuildConfusion:

@@ -156,6 +156,42 @@ class TestEvaluatePage:
         first, second = {id(ned_of) for _, ned_of in calls[:2]}, {id(ned_of) for _, ned_of in calls[2:]}
         assert len(first) == len(second) == 1 and first != second
 
+    def test_matching_and_token_bags_go_through_the_public_functions(self, monkeypatch):
+        # one match_elements call with the page's NED cache and two
+        # content_tokens calls per page, bound in report's namespace
+        from score_eval import report as report_module
+
+        match_elements, content_tokens = report_module.match_elements, report_module.content_tokens
+        content_index_accuracy = report_module.content_index_accuracy
+        matches, bags, shift_caches = [], [], []
+
+        def match_spy(gt, pred, sim_threshold=0.5, ned_of=None):
+            matches.append((gt, pred, sim_threshold, ned_of))
+            return match_elements(gt, pred, sim_threshold, ned_of)
+
+        def tokens_spy(page, *args):
+            bags.append(page)
+            return content_tokens(page, *args)
+
+        def shift_spy(p, g, n, index_gate, ned_of=None):
+            shift_caches.append(ned_of)
+            return content_index_accuracy(p, g, n, index_gate, ned_of)
+
+        monkeypatch.setattr(report_module, "match_elements", match_spy)
+        monkeypatch.setattr(report_module, "content_tokens", tokens_spy)
+        monkeypatch.setattr(report_module, "content_index_accuracy", shift_spy)
+        pred_items = [PERFECT_ITEMS[0], {"type": "Text", "text": "Revenue rose in each quarter."}, PERFECT_ITEMS[2]]
+        for _ in range(2):
+            report = evaluate_page(simple_pair(PERFECT_ITEMS, pred_items), RunConfig(sim_threshold=0.4))
+            assert report.fidelity.tokens_found == 10 / 11 and report.consistency == 1.0
+        assert len(matches) == len(shift_caches) == 2 and len(bags) == 4
+        for k, (gt, pred, sim_threshold, ned_of) in enumerate(matches):
+            assert isinstance(gt, PreparedPage) and isinstance(pred, PreparedPage)
+            assert bags[2 * k] is gt and bags[2 * k + 1] is pred
+            assert sim_threshold == 0.4
+            assert ned_of is shift_caches[k]  # the page's one NED source
+        assert matches[0][3] is not matches[1][3]
+
     def test_each_element_is_tokenized_once(self, monkeypatch):
         # table detection reads the token bags of the prepared pages
         from score_eval import textmetrics
