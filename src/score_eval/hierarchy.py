@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidThreshold, MalformedInput, ScoreEvalError
 from .ingest import DocumentPage, Element, _key_values, _read_key_values, parse_table_html
+from .tableeval import match_tables
 from .textmetrics import (
     DEFAULT_TOKENIZER,
     TokenizerConfig,
@@ -26,6 +27,7 @@ from .textmetrics import (
     greedy_one_to_one,
     ned,
     ned_upper_bound,
+    table_similarities,
     tokenize,
 )
 
@@ -154,28 +156,46 @@ class PreparedPage:
 def match_elements(
     gt: Union[DocumentPage, PreparedPage], pred: Union[DocumentPage, PreparedPage],
     sim_threshold: float = 0.5, ned_of: Optional[Callable[[str, str], float]] = None,
+    table_pairs: Optional[Sequence[tuple[int, int, float]]] = None,
 ) -> list[tuple[int, int, float]]:
-    """Greedy one-to-one element alignment by text similarity.
+    """One-to-one element alignment: tables as detection pairs them, the rest greedily by text similarity.
 
-    Pairs are accepted highest score first, ties broken by reading-order
-    proximity and then by the lower GT index; only pairs at or above the
-    threshold survive.  Returns (gt index, pred index, score) triples.
-    Pages go through ``PreparedPage.of``.  A pair's NED is read from
-    ``ned_of(pred text, GT text)`` (default: a fresh ``functools.cache(ned)``)
-    only when its length bound (``ned_upper_bound``) comes first among the
-    pairs whose ends are both still free.
+    ``table_pairs`` are (GT index, pred index, similarity) triples of
+    elements holding a table, taken first and returned as they are, so a
+    table pair's score is its detection similarity.  When None, they are
+    ``match_tables`` on ``table_similarities(pred, gt)`` at the default
+    ``tau``, as ``evaluate_page`` pairs tables at the default ``det_tau``.
+    No other pair of two tables is a candidate.  The other pairs are
+    accepted highest score first, ties broken by reading-order proximity
+    and then by the lower GT index; only pairs at or above the threshold
+    survive.  Returns (gt index, pred index, score) triples in index
+    order.  Pages go through ``PreparedPage.of``.  A pair's NED is read
+    from ``ned_of(pred text, GT text)`` (default: a fresh
+    ``functools.cache(ned)``) only when its length bound
+    (``ned_upper_bound``) comes first among the pairs whose ends are both
+    still free.
     """
     if not 0.0 <= sim_threshold <= 1.0:
         raise InvalidThreshold(f"sim_threshold must be in [0, 1], got {sim_threshold}")
     gt, pred = PreparedPage.of(gt), PreparedPage.of(pred)
     ned_of = ned_of if ned_of is not None else functools.cache(ned)
+    if table_pairs is None:
+        detection = match_tables([pred.bags[j] for j in pred.tables], [gt.bags[i] for i in gt.tables],
+                                 sims=table_similarities(pred, gt))
+        table_pairs = [(gt.tables[gi], pred.tables[pj], sim) for pj, gi, sim in detection.pairs]
+    taken_gt, taken_pred = {i for i, _, _ in table_pairs}, {j for _, j, _ in table_pairs}
+    gt_tables, pred_tables = set(gt.tables), set(pred.tables)
 
     def gap(i: int, j: int) -> int:  # reading-order distance, the first tie break
         return abs(gt.page.elements[i].source_order - pred.page.elements[j].source_order)
 
     seeds = []
     for i, g_text in enumerate(gt.texts):
+        if i in taken_gt:
+            continue
         for j, p_text in enumerate(pred.texts):
+            if j in taken_pred or (i in gt_tables and j in pred_tables):
+                continue
             bound = ned_upper_bound(g_text, p_text)
             if bound >= sim_threshold:  # else the length gap alone rules this pair out
                 seeds.append(((-bound, gap(i, j), i, j), 0, i, j))
@@ -184,7 +204,7 @@ def match_elements(
         score = ned_of(pred.texts[j], gt.texts[i])
         return (-score, gap(i, j), i, j) if score >= sim_threshold else None
 
-    return sorted((i, j, -key[0]) for key, i, j in greedy_one_to_one(seeds, exact_key))
+    return sorted([*table_pairs, *((i, j, -key[0]) for key, i, j in greedy_one_to_one(seeds, exact_key))])
 
 
 @dataclass(slots=True)

@@ -174,14 +174,17 @@ def evaluate_page(
     )
 
     table_scores = None
+    # detection's pairs as (GT element, pred element, similarity), the page's one table pairing
+    table_pairs: Sequence[tuple[int, int, float]] = ()
     if gt.tables or pred.tables:
         detection = match_tables(
             [pred.bags[i] for i in pred.tables], [gt.bags[i] for i in gt.tables], cfg.det_tau, cfg.det_beta, table_sims
         )
+        table_pairs = sorted((gt.tables[gi], pred.tables[pi], sim) for pi, gi, sim in detection.pairs)
         content_sum = index_sum = teds_sum = 0.0
         # GT order keeps the order of the sums; a missed GT table adds nothing
-        for pi, gi, _ in sorted(detection.pairs, key=lambda pair: pair[1]):
-            p, g = pred.page.elements[pred.tables[pi]].table, gt.page.elements[gt.tables[gi]].table
+        for i, j, _ in table_pairs:
+            p, g = pred.page.elements[j].table, gt.page.elements[i].table
             accuracy = content_index_accuracy(p, g, cfg.shift_n, cfg.index_gate, ned_of)
             content_sum += accuracy.content_acc
             index_sum += accuracy.index_acc
@@ -194,7 +197,7 @@ def evaluate_page(
             teds=teds_sum / count if count else None,
         )
 
-    matching = match_elements(gt, pred, cfg.sim_threshold, ned_of)
+    matching = match_elements(gt, pred, cfg.sim_threshold, ned_of, table_pairs)
     confusion = build_confusion(matching, gt.page, pred.page, cmap)
     consistency = consistency_score(confusion)
 

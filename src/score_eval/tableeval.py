@@ -546,7 +546,12 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
       move D by far less than one unit from the exact sum of its costs;
       so a float D <= t rules out every chain pair with bound >= t + 1,
       and a pass whose result is at most t returns D itself.  Passes
-      start at ``t = max(|k|, 1)`` and double t until one does.
+      start at ``t = max(|k|, 1)``.  A finite result is the cost of an
+      edit script inside the band, so it bounds D from above, and a wider
+      band never gives a larger result: the next pass runs at ``t =
+      min(ceil(result), 4 * t)``, so a pass at ``ceil(result)`` is the
+      last, and at ``2 * t`` after an inf.  Exactness rests only on the
+      exit test, whatever the schedule.
     """
     a_cells = [td for row in a_rows for td in row]
     b_cells = [td for row in b_rows for td in row]
@@ -625,7 +630,8 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
 
     t = max(abs(k), 1)
     while (distance := banded(t)) > t:
-        t *= 2
+        # a finite result is a script's cost, so a band that holds it is enough
+        t = min(math.ceil(distance), 4 * t) if distance < math.inf else 2 * t
     return distance
 
 

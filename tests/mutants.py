@@ -132,6 +132,10 @@ MUTANTS = [
            "    t = max(abs(k), 1)",
            "    t = 1",
            (TEDS,)),
+    Mutant("teds: t doubled after every pass", "tableeval.py",
+           "        t = min(math.ceil(distance), 4 * t) if distance < math.inf else 2 * t",
+           "        t *= 2",
+           (TEDS + "::test_each_pass_result_sets_the_next_threshold",)),
     # element matching and the confusion matrix
     Mutant("matching: a pair at the threshold not seeded", "hierarchy.py",
            "            if bound >= sim_threshold:",
@@ -151,9 +155,22 @@ MUTANTS = [
            "        return cls(page.page if isinstance(page, cls) else page, tokenizer)",
            ("tests/test_hierarchy.py::TestPreparedPageOf::test_a_prepared_page_keeps_its_tokenizer_and_category_map",)),
     Mutant("matching: the page cache not passed", "report.py",
-           "    matching = match_elements(gt, pred, cfg.sim_threshold, ned_of)",
-           "    matching = match_elements(gt, pred, cfg.sim_threshold)",
+           "    matching = match_elements(gt, pred, cfg.sim_threshold, ned_of, table_pairs)",
+           "    matching = match_elements(gt, pred, cfg.sim_threshold, None, table_pairs)",
            (PAGE + "test_matching_and_token_bags_go_through_the_public_functions",)),
+    Mutant("matching: detection's pairs not passed", "report.py",
+           "    matching = match_elements(gt, pred, cfg.sim_threshold, ned_of, table_pairs)",
+           "    matching = match_elements(gt, pred, cfg.sim_threshold, ned_of)",
+           (PAGE + "test_matching_and_token_bags_go_through_the_public_functions",)),
+    Mutant("matching: table-table pairs seeded by NED again", "hierarchy.py",
+           "            if j in taken_pred or (i in gt_tables and j in pred_tables):",
+           "            if j in taken_pred:",
+           (MATCH + "test_no_ned_between_two_tables",)),
+    Mutant("matching: detection pairs ignored", "hierarchy.py",
+           "    return sorted([*table_pairs, *((i, j, -key[0]) for key, i, j in",
+           "    return sorted([*((i, j, -key[0]) for key, i, j in",
+           (MATCH + "test_agrees_with_the_ned_table_matcher_on_seeded_pages",
+            PAGE + "test_a_transposed_table_is_one_element_pair")),
     Mutant("consistency: NOMATCH scored as a category", "hierarchy.py",
            "    for k, _ in enumerate(CATEGORIES):",
            "    for k, _ in enumerate(LABELS):",

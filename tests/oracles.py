@@ -15,7 +15,16 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from score_eval.errors import InvalidThreshold, MalformedInput, MultipleTablesFound, NoTableFound
-from score_eval.ingest import _BLOCK_TAGS, _HTML_NON_NEGATIVE, _SPAN_CAP, CoordCell, _collapse_ws, _integer
+from score_eval.hierarchy import PreparedPage
+from score_eval.ingest import (
+    _BLOCK_TAGS,
+    _HTML_NON_NEGATIVE,
+    _SPAN_CAP,
+    CoordCell,
+    DocumentPage,
+    _collapse_ws,
+    _integer,
+)
 from score_eval.tableeval import (
     Cell,
     CellAccuracy,
@@ -508,6 +517,47 @@ def alignment_similarity_per_pair(pred, gt, ned_of: Callable[[str, str], float])
     assigned = {i: -key[0] for key, i, _ in greedy_one_to_one(seeds, exact_key)}
     weighted = math.fsum(weights[i] * assigned.get(i, 0.0) for i in range(len(weights)))
     return min(1.0, weighted / total_weight)
+
+
+def match_elements_ned_tables(
+    gt: Union[DocumentPage, PreparedPage], pred: Union[DocumentPage, PreparedPage],
+    sim_threshold: float = 0.5, ned_of: Optional[Callable[[str, str], float]] = None,
+) -> list[tuple[int, int, float]]:
+    """``hierarchy.match_elements`` as it was before it took detection's
+    table pairs: two tables pair, like any two elements, by the NED of their
+    flat texts, and compete with every other pair.
+
+    Greedy one-to-one element alignment by text similarity.
+
+    Pairs are accepted highest score first, ties broken by reading-order
+    proximity and then by the lower GT index; only pairs at or above the
+    threshold survive.  Returns (gt index, pred index, score) triples.
+    Pages go through ``PreparedPage.of``.  A pair's NED is read from
+    ``ned_of(pred text, GT text)`` (default: a fresh ``functools.cache(ned)``)
+    only when its length bound (``ned_upper_bound``) comes first among the
+    pairs whose ends are both still free.
+    """
+    if not 0.0 <= sim_threshold <= 1.0:
+        raise InvalidThreshold(f"sim_threshold must be in [0, 1], got {sim_threshold}")
+    gt, pred = PreparedPage.of(gt), PreparedPage.of(pred)
+    ned_of = ned_of if ned_of is not None else functools.cache(ned)
+
+    def gap(i: int, j: int) -> int:  # reading-order distance, the first tie break
+        return abs(gt.page.elements[i].source_order - pred.page.elements[j].source_order)
+
+    seeds = []
+    for i, g_text in enumerate(gt.texts):
+        for j, p_text in enumerate(pred.texts):
+            bound = ned_upper_bound(g_text, p_text)
+            if bound >= sim_threshold:  # else the length gap alone rules this pair out
+                seeds.append(((-bound, gap(i, j), i, j), 0, i, j))
+
+    def exact_key(i: int, j: int) -> Optional[tuple]:
+        score = ned_of(pred.texts[j], gt.texts[i])
+        return (-score, gap(i, j), i, j) if score >= sim_threshold else None
+
+    return sorted((i, j, -key[0]) for key, i, j in greedy_one_to_one(seeds, exact_key))
+
 
 def _axis_score_per_shift(
     p_strings: Sequence[str],

@@ -1,9 +1,10 @@
+import functools
 import random
 
 import pytest
 
 from conftest import rand_page_pair
-from oracles import consistency_score_dense
+from oracles import consistency_score_dense, match_elements_ned_tables
 from score_eval import hierarchy
 from score_eval.errors import InvalidThreshold, MalformedInput
 from score_eval.hierarchy import (
@@ -18,7 +19,7 @@ from score_eval.hierarchy import (
     match_elements,
 )
 from score_eval.ingest import DocumentPage, Element
-from score_eval.textmetrics import TokenizerConfig, adjusted_ned, content_tokens
+from score_eval.textmetrics import TokenizerConfig, adjusted_ned, content_tokens, ned
 
 
 def total(counts: list[list[int]]) -> int:
@@ -142,6 +143,72 @@ class TestMatchElements:
             for i, j, s in match_elements(gt, pred_shuffled, 0.3)
         )
         assert remapped == sorted((i, j, round(s, 12)) for i, j, s in baseline)
+
+    def test_agrees_with_the_ned_table_matcher_on_seeded_pages(self):
+        # Tables paired by detection, against the matcher that paired them
+        # by the NED of their flat texts, on 10,000 seeded pages with a
+        # table on either side.  They disagree on one page: GT tables 1
+        # and 2 and prediction tables 0 and 1 have the same cells, and the
+        # assignment pairs them crosswise where reading order paired them
+        # straight.  No page's confusion matrix moves.
+        rng = random.Random(2031)
+        cmap = CategoryMap.default()
+        disagreements = []
+        pages = 0
+        while pages < 10_000:
+            pair = rand_page_pair(rng, f"p{pages:05d}")
+            gt, pred = PreparedPage(pair.gt), PreparedPage(pair.pred)
+            if not (gt.tables or pred.tables):
+                continue
+            ned_of = functools.cache(ned)
+            got = match_elements(gt, pred, 0.5, ned_of)
+            want = match_elements_ned_tables(gt, pred, 0.5, ned_of)
+            got_pairs, want_pairs = [(i, j) for i, j, _ in got], [(i, j) for i, j, _ in want]
+            if got_pairs != want_pairs:
+                disagreements.append((pages, got_pairs, want_pairs))
+            confusion = build_confusion(got, gt.page, pred.page, cmap)
+            assert confusion == build_confusion(want, gt.page, pred.page, cmap), pages
+            pages += 1
+        assert disagreements == [(4146, [(0, 2), (1, 0), (2, 1), (3, 3)], [(0, 2), (1, 1), (2, 0), (3, 3)])]
+
+    def test_no_ned_between_two_tables(self):
+        # A table pairs by detection only.  These two share no token, so
+        # detection leaves both free, but their flat texts are one digit
+        # apart per cell: the NED matcher paired them.
+        asked = []
+
+        def ned_of(p_text: str, g_text: str) -> float:
+            asked.append((p_text, g_text))
+            return ned(p_text, g_text)
+
+        row = "<table><tr><td>alpha{0}</td><td>bravo{0}</td><td>charlie{0}</td></tr></table>"
+        gt, pred = page(("table", row.format(1))), page(("table", row.format(2)))
+        assert match_elements(gt, pred, 0.5, ned_of) == [] and asked == []
+        assert [(i, j) for i, j, _ in match_elements_ned_tables(gt, pred, 0.5, ned_of)] == [(0, 0)]
+        # on seeded pages, the NED matcher asked for such NEDs on many
+        rng = random.Random(97)
+        asked_before = 0
+        for k in range(500):
+            pair = rand_page_pair(rng, f"p{k:03d}")
+            gt, pred = PreparedPage(pair.gt), PreparedPage(pair.pred)
+            table_texts = {(pred.texts[j], gt.texts[i]) for i in gt.tables for j in pred.tables}
+            asked.clear()
+            match_elements(gt, pred, 0.5, ned_of)
+            assert not table_texts & set(asked), k
+            asked.clear()
+            match_elements_ned_tables(gt, pred, 0.5, ned_of)
+            asked_before += bool(table_texts & set(asked))
+        assert asked_before > 50, asked_before
+
+    def test_a_table_pair_scores_its_detection_similarity(self):
+        grid = "<table><tr><td>north 12</td><td>south 15</td></tr></table>"
+        swapped = "<table><tr><td>south 15</td><td>north 12</td></tr></table>"
+        gt = page(("table", grid), ("text", "Revenue by region"))
+        pred = page(("table", swapped), ("text", "Revenue by region"))
+        assert match_elements(gt, pred) == [(0, 0, 1.0), (1, 1, 1.0)]
+        # passed pairs are taken as given, and no other table pair is formed
+        assert match_elements(gt, pred, table_pairs=[(0, 0, 0.25)]) == [(0, 0, 0.25), (1, 1, 1.0)]
+        assert match_elements(gt, pred, table_pairs=()) == [(1, 1, 1.0)]
 
 
 class TestPreparedPageOf:

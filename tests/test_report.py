@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rand_page_pair, write_rand_dataset
+from conftest import rand_page_pair, to_coord_cells, to_html, write_rand_dataset
+from oracles import match_elements_ned_tables
 from score_eval.cli import main
 from score_eval.errors import EmptyDataset
 from score_eval.hierarchy import LABELS, PreparedPage
@@ -23,6 +24,7 @@ from score_eval.report import (
     render,
     write_reports,
 )
+from score_eval.tableeval import Cell, NormalizedTable
 
 
 def simple_pair(gt_items, pred_items, page_id="p") -> PagePair:
@@ -157,17 +159,18 @@ class TestEvaluatePage:
         assert len(first) == len(second) == 1 and first != second
 
     def test_matching_and_token_bags_go_through_the_public_functions(self, monkeypatch):
-        # one match_elements call with the page's NED cache and two
-        # content_tokens calls per page, bound in report's namespace
+        # one match_elements call with the page's NED cache and detection's
+        # table pairs, and two content_tokens calls per page, bound in
+        # report's namespace
         from score_eval import report as report_module
 
         match_elements, content_tokens = report_module.match_elements, report_module.content_tokens
         content_index_accuracy = report_module.content_index_accuracy
         matches, bags, shift_caches = [], [], []
 
-        def match_spy(gt, pred, sim_threshold=0.5, ned_of=None):
-            matches.append((gt, pred, sim_threshold, ned_of))
-            return match_elements(gt, pred, sim_threshold, ned_of)
+        def match_spy(gt, pred, sim_threshold=0.5, ned_of=None, table_pairs=None):
+            matches.append((gt, pred, sim_threshold, ned_of, table_pairs))
+            return match_elements(gt, pred, sim_threshold, ned_of, table_pairs)
 
         def tokens_spy(page, *args):
             bags.append(page)
@@ -181,16 +184,41 @@ class TestEvaluatePage:
         monkeypatch.setattr(report_module, "content_tokens", tokens_spy)
         monkeypatch.setattr(report_module, "content_index_accuracy", shift_spy)
         pred_items = [PERFECT_ITEMS[0], {"type": "Text", "text": "Revenue rose in each quarter."}, PERFECT_ITEMS[2]]
-        for _ in range(2):
-            report = evaluate_page(simple_pair(PERFECT_ITEMS, pred_items), RunConfig(sim_threshold=0.4))
+        reports = [evaluate_page(simple_pair(PERFECT_ITEMS, pred_items), RunConfig(sim_threshold=0.4))
+                   for _ in range(2)]
+        for report in reports:
             assert report.fidelity.tokens_found == 10 / 11 and report.consistency == 1.0
         assert len(matches) == len(shift_caches) == 2 and len(bags) == 4
-        for k, (gt, pred, sim_threshold, ned_of) in enumerate(matches):
+        for k, (gt, pred, sim_threshold, ned_of, table_pairs) in enumerate(matches):
             assert isinstance(gt, PreparedPage) and isinstance(pred, PreparedPage)
             assert bags[2 * k] is gt and bags[2 * k + 1] is pred
             assert sim_threshold == 0.4
             assert ned_of is shift_caches[k]  # the page's one NED source
+            # detection's pairs, as element indices
+            detected = [(gt.tables[gi], pred.tables[pi], sim) for pi, gi, sim in reports[k].table.detection.pairs]
+            assert list(table_pairs) == detected == [(2, 2, 1.0)]
         assert matches[0][3] is not matches[1][3]
+        # a page without a table passes no table pair
+        evaluate_page(simple_pair(PERFECT_ITEMS[:2], pred_items[:2]))
+        assert matches[2][4] == ()
+
+    def test_a_transposed_table_is_one_element_pair(self):
+        # A 12x4 GT table of coordinate cells against its transpose in HTML.
+        # The adjusted-NED alignment and detection pair the two tables by
+        # their token bags, and element matching takes detection's pair, so
+        # the consistency is 1.  Paired by the NED of their row-major flat
+        # texts, as before, they stayed unmatched and it was 0.
+        words = ("alpha", "bravo", "charlie", "delta")
+        cells = [Cell(r, c, 1, 1, f"{word} {r}") for r in range(12) for c, word in enumerate(words)]
+        transposed = NormalizedTable.from_cells([Cell(c.col, c.row, 1, 1, c.content) for c in cells])
+        pair = simple_pair([{"type": "Table", "text": to_coord_cells(NormalizedTable.from_cells(cells))}],
+                           [{"type": "Table", "text": to_html(transposed)}])
+        report = evaluate_page(pair)
+        assert report.fidelity.adjusted_ned == 1.0
+        assert report.table.detection.pairs == ((0, 0, 1.0),)
+        assert report.consistency == 1.0
+        gt, pred = PreparedPage(pair.gt), PreparedPage(pair.pred)
+        assert match_elements_ned_tables(gt, pred) == []
 
     def test_each_element_is_tokenized_once(self, monkeypatch):
         # table detection reads the token bags of the prepared pages

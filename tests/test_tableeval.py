@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 from collections import Counter
@@ -731,7 +732,7 @@ class TestTeds:
 
         monkeypatch.setattr(tableeval, "_align", recording_align)
         rng = random.Random(107)
-        passes_doubled = 0
+        several_passes = 0
         for trial in range(2_000):
             a, b = rand_row_tree_pair(rng, regroup_cells=trial % 2 == 1)
             a_rows, b_rows = tableeval._table_rows(a), tableeval._table_rows(b)
@@ -740,8 +741,8 @@ class TestTeds:
             assert len(aligned) == len(set(aligned)), (a, b)
             assert got == row_distance_full(a_rows, b_rows, ned), (a, b)
             k = len(a_rows) + sum(map(len, a_rows)) - len(b_rows) - sum(map(len, b_rows))
-            passes_doubled += got > max(abs(k), 1)  # the first pass's threshold
-        assert passes_doubled >= 1_000, passes_doubled  # seen 1288
+            several_passes += got > max(abs(k), 1)  # the first pass's threshold
+        assert several_passes >= 1_000, several_passes  # seen 1288
 
     def test_row_matches_are_skipped_below_their_integer_floor(self, monkeypatch):
         # An 8x4 GT against a prediction missing row 3, with one typo and
@@ -811,6 +812,60 @@ class TestTeds:
             assert row_distance_full(a_rows, b_rows, ned) == want
             assert tableeval._row_distance(a_rows, b_rows, ned) == want
             assert tableeval._row_distance(b_rows, a_rows, ned) == tree_edit_distance(b, a)
+
+    @staticmethod
+    def band_passes(a_rows, b_rows) -> tuple[float, list[list[float]], int]:
+        """``_row_distance`` of the rows, its band passes as [t, result]
+        pairs and its ``_align`` calls, read through a profile hook as the
+        passes are a nested function."""
+        passes: list[list[float]] = []
+        aligns = []
+
+        def profile(frame, event, arg):
+            if frame.f_code.co_filename != tableeval.__file__:
+                return
+            if frame.f_code.co_name == "banded":
+                if event == "call":
+                    passes.append([frame.f_locals["t"], None])
+                elif event == "return":
+                    passes[-1][1] = arg
+            elif frame.f_code.co_name == "_align" and event == "call":
+                aligns.append(1)
+
+        sys.setprofile(profile)
+        try:
+            distance = tableeval._row_distance(a_rows, b_rows, ned)
+        finally:
+            sys.setprofile(None)
+        return distance, passes, len(aligns)
+
+    def test_a_first_pass_that_returns_inf(self):
+        # k = 0, so the first band is the diagonal alone, and no script
+        # stays on it: the next pass doubles t, as ceil(inf) would raise,
+        # and its finite result sets the third pass's threshold
+        a = rows_tree([[("ab", 1, 1)], [("aa", 1, 2)]])
+        b = rows_tree([[], [("ab", 1, 1), ("a", 1, 2)]])
+        a_rows, b_rows = tableeval._table_rows(a), tableeval._table_rows(b)
+        distance, passes, _ = self.band_passes(a_rows, b_rows)
+        assert passes == [[1, math.inf], [2, 2.5], [3, 2.5]]
+        assert distance == 2.5 == tree_edit_distance(a, b) == row_distance_full(a_rows, b_rows, ned)
+
+    def test_each_pass_result_sets_the_next_threshold(self):
+        # The schedule t = min(ceil(result), 4 t), or 2 t after an inf,
+        # on the sweep of test_band_passes_align_each_subtree_pair_once.
+        # Doubling t made 4,323 passes and 24,170 ``_align`` calls here.
+        rng = random.Random(107)
+        total_passes = total_aligns = 0
+        for trial in range(2_000):
+            a, b = rand_row_tree_pair(rng, regroup_cells=trial % 2 == 1)
+            a_rows, b_rows = tableeval._table_rows(a), tableeval._table_rows(b)
+            distance, passes, aligns = self.band_passes(a_rows, b_rows)
+            for (t, result), (next_t, _) in zip(passes, passes[1:]):
+                assert result > t and next_t == (min(math.ceil(result), 4 * t) if result < math.inf else 2 * t)
+            assert passes[-1][1] == distance <= passes[-1][0]
+            total_passes += len(passes)
+            total_aligns += aligns
+        assert total_passes <= 3_621 and total_aligns <= 20_614, (total_passes, total_aligns)
 
     def test_single_cell_vs_multi_cell_ordering(self):
         # flattened one-cell prediction scores much worse on structure
