@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 when no page
-pairs could be formed.  Page-level parse problems are reported as
-notices and never abort a run.
+pairs could be formed or none could be evaluated.  Page-level parse
+and evaluation problems are reported as notices and never abort a run.
 """
 
 from __future__ import annotations
@@ -153,10 +153,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"score-eval: configuration error: {exc}", file=sys.stderr)
         return 1
 
+    reports = evaluate_pairs(pairs, cfg, cmap, notices)
     for note in notices:
         print(f"score-eval: notice: {note}", file=sys.stderr)
-
-    reports = evaluate_pairs(pairs, cfg, cmap)
+    if not reports:
+        print("score-eval: no page could be evaluated", file=sys.stderr)
+        return 2
     agg = aggregate(reports, cfg, notices)
 
     if args.out:

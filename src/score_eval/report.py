@@ -215,10 +215,24 @@ def evaluate_pairs(
     pairs: Sequence[PagePair],
     cfg: RunConfig = RunConfig(),
     cmap: Optional[CategoryMap] = None,
+    notices: Optional[list[str]] = None,
 ) -> list[PageReport]:
-    """Evaluate pages one after another; output order is by page id."""
+    """Evaluate pages one after another; output order is by page id.
+
+    A page whose evaluation raises ends the call, unless ``notices`` is
+    given: then the page is left out and ``notices`` gets
+    ``failed to evaluate <page id>: <exception type>: <message>``.
+    """
     cmap = cmap if cmap is not None else cfg.category_map()
-    return [evaluate_page(pair, cfg, cmap) for pair in sorted(pairs, key=lambda p: p.page_id)]
+    reports = []
+    for pair in sorted(pairs, key=lambda p: p.page_id):
+        try:
+            reports.append(evaluate_page(pair, cfg, cmap))
+        except Exception as exc:
+            if notices is None:
+                raise
+            notices.append(f"failed to evaluate {pair.page_id}: {type(exc).__name__}: {exc}")
+    return reports
 
 
 # (mean key, CSV header, getter) of every per-page metric, in report order

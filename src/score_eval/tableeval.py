@@ -358,9 +358,21 @@ def content_index_accuracy(
     smallest displacement, then lexicographic order, so results do not
     depend on evaluation order.  NEDs are read from ``ned_of(pred string,
     GT string)``, a fresh ``functools.cache(ned)`` when it is None.
+
+    Equal tables at a gate of at most 1.0 return the search's own result,
+    ``(1.0, 1.0, (0, 0))``, without searching: at delta 0 each axis
+    score sums ``weight * 1.0`` and ``weight`` over the same weights in
+    the same order, so it is ``x / x = 1.0`` (1.0 when all are empty);
+    every GT unit hits, as ``ned(x, x) = 1.0`` clears the gate; and
+    ``(0, 0)`` is always searched, its key ``(-2.0, 0, (0, 0))`` the least
+    a key can be.  Above 1.0 (or NaN) no unit clears the gate, so those
+    gates still search.  ``ned_of`` must give 1.0 on equal strings, as
+    ``ned`` does.
     """
     if n < 0:
         raise InvalidThreshold(f"shift bound must be >= 0, got {n}")
+    if p == g and index_gate <= 1.0:
+        return CellAccuracy(content_acc=1.0, index_acc=1.0, best_shift=(0, 0))
     # A delta at or past the tables' extent leaves no row (column)
     # overlapping, so it scores no better than delta 0 and loses the
     # displacement tie.
@@ -552,7 +564,13 @@ def _row_distance(a_rows: Sequence[Sequence[_Td]], b_rows: Sequence[Sequence[_Td
       min(ceil(result), 4 * t)``, so a pass at ``ceil(result)`` is the
       last, and at ``2 * t`` after an inf.  Exactness rests only on the
       exit test, whatever the schedule.
+    - Equal rows give 0.0 without a pass: each td relabels onto its copy
+      at ``1.0 - ned(x, x) = 0.0`` and each tr onto its copy at 0.0, and
+      no cost is negative, so every float on that script is 0.0 and it
+      is the minimum.
     """
+    if a_rows == b_rows:
+        return 0.0
     a_cells = [td for row in a_rows for td in row]
     b_cells = [td for row in b_rows for td in row]
 

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 INGEST = "tests/test_ingest.py::TestParseTableHtml::"
 SHIFT = ("tests/test_tableeval.py::TestContentIndexAccuracy", "tests/test_tableeval.py::TestLazyAxisScores")
 TEDS = "tests/test_tableeval.py::TestTeds"
+EQUAL = "tests/test_tableeval.py::TestEqualTables::"
 PAGE = "tests/test_report.py::TestEvaluatePage::"
 MATCH = "tests/test_hierarchy.py::TestMatchElements::"
 KERNEL = ("tests/test_textmetrics.py::TestKernelDifferential::test_equals_the_branching_kernel",)
@@ -111,6 +112,27 @@ MUTANTS = [
            "            accuracy = content_index_accuracy(p, g, cfg.shift_n, cfg.index_gate, ned_of)",
            "            accuracy = content_index_accuracy(p, g, cfg.shift_n, cfg.index_gate, None)",
            (PAGE + "test_shift_search_reads_the_page_cache",)),
+    # equal tables, scored without a search
+    Mutant("equal tables: the gate guard dropped", "tableeval.py",
+           "    if p == g and index_gate <= 1.0:",
+           "    if p == g:",
+           (EQUAL + "test_shift_accuracy_equals_the_searches", EQUAL + "test_a_gate_above_one_still_searches")),
+    Mutant("equal tables: equal by flat text, which ignores spans", "tableeval.py",
+           "    if p == g and index_gate <= 1.0:",
+           "    if p.flat_text() == g.flat_text() and index_gate <= 1.0:",
+           (EQUAL + "test_tables_alike_but_for_spans_are_searched",)),
+    Mutant("equal tables: shift (0, 1) returned", "tableeval.py",
+           "        return CellAccuracy(content_acc=1.0, index_acc=1.0, best_shift=(0, 0))",
+           "        return CellAccuracy(content_acc=1.0, index_acc=1.0, best_shift=(0, 1))",
+           (EQUAL + "test_shift_accuracy_equals_the_searches",)),
+    Mutant("equal tables: the shift search run", "tableeval.py",
+           "    if p == g and index_gate <= 1.0:",
+           "    if False:",
+           (PAGE + "test_equal_tables_are_scored_without_a_search",)),
+    Mutant("equal tables: equal rows run the band", "tableeval.py",
+           "    if a_rows == b_rows:\n        return 0.0\n",
+           "",
+           (PAGE + "test_equal_tables_are_scored_without_a_search",)),
     # row-level TEDS
     Mutant("teds: no integer floor on a match with a tr", "tableeval.py",
            "        floor = abs(len(xs) - len(ys)) if x_row == y_row else len(xs) if x_row else len(ys)",

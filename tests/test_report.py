@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from score_eval.errors import EmptyDataset
 from score_eval.hierarchy import LABELS, PreparedPage
 from score_eval.ingest import PagePair, pair_pages, parse_document
 from score_eval.report import (
+    PageReport,
     RunConfig,
     aggregate,
     evaluate_page,
@@ -219,6 +221,40 @@ class TestEvaluatePage:
         assert report.consistency == 1.0
         gt, pred = PreparedPage(pair.gt), PreparedPage(pair.pred)
         assert match_elements_ned_tables(gt, pred) == []
+
+    def test_equal_tables_are_scored_without_a_search(self):
+        # An HTML prediction holding the GT's cells is the GT's table, so
+        # neither the shift search nor a TEDS band pass runs; one changed
+        # cell runs both.  Counted by name through a profile hook, as the
+        # band passes are a nested function.
+        from score_eval import tableeval
+
+        def calls_of(pred_table: NormalizedTable) -> tuple[Counter, PageReport]:
+            pair = simple_pair([{"type": "Table", "text": to_coord_cells(table)}],
+                               [{"type": "Table", "text": to_html(pred_table)}])
+            calls: Counter = Counter()
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code.co_filename == tableeval.__file__:
+                    calls[frame.f_code.co_name] += 1
+
+            sys.setprofile(profile)
+            try:
+                report = evaluate_page(pair)
+            finally:
+                sys.setprofile(None)
+            return calls, report
+
+        table = NormalizedTable.from_cells([Cell(0, 0, 1, 2, "Quarter"), Cell(1, 0, 1, 1, "Q1"),
+                                            Cell(1, 1, 1, 1, "$100K"), Cell(2, 0, 1, 1, "Q2"),
+                                            Cell(2, 1, 1, 1, "$200K")])
+        calls, report = calls_of(table)
+        assert calls["_best_shift"] == calls["banded"] == 0, calls
+        assert (report.table.content_acc, report.table.index_acc, report.table.teds) == (1.0, 1.0, 1.0)
+        changed = NormalizedTable.from_cells([*table.cells[:-1], Cell(2, 1, 1, 1, "$250K")])
+        calls, report = calls_of(changed)
+        assert calls["_best_shift"] == 1 and calls["banded"] >= 1, calls
+        assert report.table.teds < 1.0
 
     def test_each_element_is_tokenized_once(self, monkeypatch):
         # table detection reads the token bags of the prepared pages
@@ -785,6 +821,65 @@ class TestCli:
         assert "notice: failed to parse prediction b: invalid JSON: " in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [page["page_id"] for page in report["pages"]] == ["a"]
+
+    @staticmethod
+    def fail_on(monkeypatch, stems) -> None:
+        """Make ``report.evaluate_page`` raise on the pages of these stems."""
+        from score_eval import report as report_module
+
+        evaluate = report_module.evaluate_page
+
+        def failing(pair, *args):
+            if pair.page_id in stems:
+                raise RuntimeError(f"planted failure on {pair.page_id}")
+            return evaluate(pair, *args)
+
+        monkeypatch.setattr(report_module, "evaluate_page", failing)
+
+    def test_a_page_that_fails_to_evaluate_is_a_notice(self, tmp_path, capsys, monkeypatch):
+        # the failing page is left out; the other pages' reports are the
+        # bytes of a run without it
+        pages = {"a": PERFECT_ITEMS, "b": PERFECT_ITEMS, "c": PERFECT_ITEMS[:2]}
+        for name, stems in (("without-b", ("a", "c")), ("all", ("a", "b", "c"))):
+            (tmp_path / name).mkdir()
+            write_dataset(tmp_path / name, {stem: pages[stem] for stem in stems}, "gt")
+            write_dataset(tmp_path / name, {stem: PERFECT_ITEMS for stem in stems}, "pred")
+        assert main(["--gt", str(tmp_path / "without-b" / "gt"), "--pred", str(tmp_path / "without-b" / "pred"),
+                     "--out", str(tmp_path / "want")]) == 0
+        capsys.readouterr()
+        self.fail_on(monkeypatch, {"b"})
+        code = main(["--gt", str(tmp_path / "all" / "gt"), "--pred", str(tmp_path / "all" / "pred"),
+                     "--out", str(tmp_path / "got")])
+        assert code == 0
+        note = "failed to evaluate b: RuntimeError: planted failure on b"
+        assert f"score-eval: notice: {note}\n" in capsys.readouterr().err
+        want, got = (json.loads((tmp_path / side / "report.json").read_text(encoding="utf-8"))
+                     for side in ("want", "got"))
+        assert got["pages"] == want["pages"] and [p["page_id"] for p in got["pages"]] == ["a", "c"]
+        assert got["aggregate"] == {**want["aggregate"], "notices": [note]}
+        assert (tmp_path / "got" / "pages.csv").read_bytes() == (tmp_path / "want" / "pages.csv").read_bytes()
+
+    def test_no_page_evaluated_exits_two(self, tmp_path, capsys, monkeypatch):
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS, "b": PERFECT_ITEMS}, "gt")
+        write_dataset(tmp_path, {"a": PERFECT_ITEMS, "b": PERFECT_ITEMS}, "pred")
+        self.fail_on(monkeypatch, {"a", "b"})
+        code = main(["--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "failed to evaluate a: RuntimeError: planted failure on a" in err
+        assert "failed to evaluate b: RuntimeError: planted failure on b" in err
+        assert err.endswith("score-eval: no page could be evaluated\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_library_callers_opt_in_to_failure_notices(self, monkeypatch):
+        self.fail_on(monkeypatch, {"b"})
+        pairs = [simple_pair(PERFECT_ITEMS, PERFECT_ITEMS, stem) for stem in "bac"]
+        with pytest.raises(RuntimeError, match="planted failure on b"):
+            evaluate_pairs(pairs)
+        notices: list[str] = ["earlier notice"]
+        reports = evaluate_pairs(pairs, notices=notices)
+        assert [r.page_id for r in reports] == ["a", "c"]
+        assert notices == ["earlier notice", "failed to evaluate b: RuntimeError: planted failure on b"]
 
     def test_unreadable_prediction_is_a_notice(self, tmp_path, capsys, monkeypatch):
         write_dataset(tmp_path, {"a": PERFECT_ITEMS, "b": PERFECT_ITEMS}, "gt")

@@ -853,19 +853,25 @@ class TestTeds:
     def test_each_pass_result_sets_the_next_threshold(self):
         # The schedule t = min(ceil(result), 4 t), or 2 t after an inf,
         # on the sweep of test_band_passes_align_each_subtree_pair_once.
-        # Doubling t made 4,323 passes and 24,170 ``_align`` calls here.
+        # Doubling t made 4,323 passes and 24,170 ``_align`` calls here;
+        # 282 of the pairs have equal rows and take no pass.
         rng = random.Random(107)
-        total_passes = total_aligns = 0
+        total_passes = total_aligns = equal = 0
         for trial in range(2_000):
             a, b = rand_row_tree_pair(rng, regroup_cells=trial % 2 == 1)
             a_rows, b_rows = tableeval._table_rows(a), tableeval._table_rows(b)
             distance, passes, aligns = self.band_passes(a_rows, b_rows)
+            if a_rows == b_rows:  # equal rows take no pass
+                assert passes == [] and aligns == 0 and distance == 0.0
+                equal += 1
+                continue
             for (t, result), (next_t, _) in zip(passes, passes[1:]):
                 assert result > t and next_t == (min(math.ceil(result), 4 * t) if result < math.inf else 2 * t)
             assert passes[-1][1] == distance <= passes[-1][0]
             total_passes += len(passes)
             total_aligns += aligns
-        assert total_passes <= 3_621 and total_aligns <= 20_614, (total_passes, total_aligns)
+        assert total_passes <= 3_339 and total_aligns <= 20_246, (total_passes, total_aligns)
+        assert equal >= 250, equal
 
     def test_single_cell_vs_multi_cell_ordering(self):
         # flattened one-cell prediction scores much worse on structure
@@ -968,3 +974,65 @@ class TestTableTeds:
         assert similarity == 1.0 - (1.0 - ned("a b", "a c")) / (n + 3)
         assert calls["_align"] <= 2 * (n + 2), calls
         assert calls["match"] + calls["relax"] <= 2 * (n + 2), calls
+
+
+def equal_copy(t: NormalizedTable) -> NormalizedTable:
+    """A table equal to `t` that is a distinct object, as a parsed prediction is."""
+    return NormalizedTable.from_cells(list(t.cells))
+
+
+def equal_table_cases() -> list[NormalizedTable]:
+    """Seeded grids, tiny grids, spanned HTML tables and the edge cases."""
+    rng = random.Random(113)
+    tables = [
+        NormalizedTable.from_cells([]),
+        grid(["only"]),
+        grid(["", ""], ["", ""]),
+        NormalizedTable.from_cells([Cell(0, 0, 2, 2, ""), Cell(2, 1, 1, 1, "")]),
+        span_table([[("tall", 3, 1), ("b", 1, 1)]]),
+    ]
+    for _ in range(25):
+        tables += [rand_table(rng), rand_tiny_table(rng), rand_grid_table(rng), span_table(rand_span_rows(rng))]
+    return tables
+
+
+class TestEqualTables:
+    """Equal tables take the exact result without a search, the same floats."""
+
+    GATES = (0.0, 0.5, 1.0, 1.5, math.nan)
+
+    def test_shift_accuracy_equals_the_searches(self):
+        for table in equal_table_cases():
+            copy = equal_copy(table)
+            assert copy == table and copy is not table
+            for n in range(6):
+                shifts = in_extent_shifts(copy, table, n)
+                for gate in self.GATES:
+                    got = content_index_accuracy(copy, table, n, gate)
+                    searched = tableeval._best_shift(copy, table, shifts, gate, functools.cache(ned))
+                    assert (got.content_acc, got.index_acc, got.best_shift) == searched, (table, n, gate)
+                    assert got == content_index_accuracy_per_shift(copy, table, n, gate), (table, n, gate)
+                    if gate <= 1.0:
+                        assert got == CellAccuracy(1.0, 1.0, (0, 0))
+
+    def test_a_gate_above_one_still_searches(self):
+        # no unit clears a gate above 1.0 (or NaN), so the index reads 0.0
+        for gate in (1.5, math.nan):
+            assert content_index_accuracy(equal_copy(QUARTERS), QUARTERS, 2, gate) == CellAccuracy(1.0, 0.0, (0, 0))
+
+    def test_tables_alike_but_for_spans_are_searched(self):
+        # equal flat texts; the GT's second unit is not covered by the prediction
+        pred = NormalizedTable.from_cells([Cell(0, 0, 1, 1, "a")])
+        gt = NormalizedTable.from_cells([Cell(0, 0, 1, 2, "a")])
+        assert pred.flat_text() == gt.flat_text()
+        assert content_index_accuracy(pred, gt, 2) == content_index_accuracy_per_shift(pred, gt, 2)
+        assert content_index_accuracy(pred, gt, 2).index_acc == 0.5
+
+    def test_teds_of_equal_tables_is_one(self):
+        for table in equal_table_cases():
+            copy = equal_copy(table)
+            p_rows, g_rows = tableeval._lines(copy), tableeval._lines(table)
+            assert tableeval._row_distance(p_rows, g_rows, ned) == row_distance_full(p_rows, g_rows, ned) == 0.0
+            assert table_teds(copy, table) == 1.0
+            a, b = build_table_tree(copy), build_table_tree(table)
+            assert teds(a, b) == 1.0 - tree_edit_distance(a, b) / max(a.size(), b.size()) == 1.0
